@@ -69,7 +69,6 @@ class BaseGrid:
         c = measure_constant(self.alpha, self.d) * (2.0 * np.pi) ** (self.d / 2.0)
         self.radial_nodes = r
         self.radial_weights = 0.5 * R * gw * r ** (2.0 * self.alpha + 1.0) * c
-        self._diff_index = None
         self._reflect_index = None
 
     # -- shapes and layout -------------------------------------------------
@@ -117,39 +116,20 @@ class BaseGrid:
         return np.multiply.outer(self.cart_weight_flat, self.radial_weights)
 
     # -- lattice index arithmetic -------------------------------------------
-    def cart_diff_index(self) -> np.ndarray:
-        """(n^d, n^d) int array: flat index of the lattice point x_i - x_j.
-
-        Differences are taken per axis modulo the period, so the result is
-        always a valid lattice index (torus convention).
-        """
-        if self._diff_index is None:
-            n = self.cart_points
-            # node values are (j - n//2) h, so the lattice index holding the
-            # value x_i - x_j is (i - j + n//2) mod n per axis
-            if self.d == 1:
-                j = np.arange(n)
-                idx = (j[:, None] - j[None, :] + n // 2) % n
-            else:
-                shape_i = (n,) * self.d
-                ii = np.indices(shape_i).reshape(self.d, -1)
-                diff = (ii[:, :, None] - ii[:, None, :] + n // 2) % n
-                idx = np.zeros((self.n_cart, self.n_cart), dtype=np.int64)
-                for ax in range(self.d):
-                    idx = idx * n + diff[ax]
-            self._diff_index = idx.astype(np.int64)
-        return self._diff_index
-
     def cart_reflect_index(self) -> np.ndarray:
-        """(n^d,) permutation sending the lattice point x to -x (per axis, mod period)."""
+        """(n^d,) permutation sending the lattice point x to -x (per axis, mod period).
+
+        Node j holds (j - n//2) h, so -x_j sits at index (2 (n//2) - j) mod n,
+        for even and odd n alike.
+        """
         if self._reflect_index is None:
             n = self.cart_points
-            r1 = (-np.arange(n)) % n
+            r1 = (2 * (n // 2) - np.arange(n)) % n
             idx = r1
             if self.d > 1:
                 shape_i = (n,) * self.d
                 ii = np.indices(shape_i).reshape(self.d, -1)
-                ri = (-ii) % n
+                ri = (2 * (n // 2) - ii) % n
                 idx = np.zeros(self.n_cart, dtype=np.int64)
                 for ax in range(self.d):
                     idx = idx * n + ri[ax]
@@ -193,9 +173,6 @@ class Field:
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
         self.values = v.astype(np.complex128, copy=False)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
 
     def __add__(self, other):
         _same_grid(self, other)

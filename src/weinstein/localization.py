@@ -37,6 +37,7 @@ import numpy as np
 from .grids import Field, ScaleField, ScaleGrid, lp_norm, scale_lp_norm
 from .probes import random_field
 from .transform import forward, inverse
+from .translation import lattice_shift
 from .wavelets import WaveletPair, cwt
 
 
@@ -151,7 +152,6 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool) -> n
     K = pair.kernel.tensor
     nc, m = g.shape
     NM = nc * m
-    diff = g.cart_diff_index()
     wflat = g.node_weights.reshape(-1)
     analysis, synthesis = ("psi", "phi") if swapped else ("phi", "psi")
     sdata_syn = pair.space_data(synthesis)
@@ -161,15 +161,14 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool) -> n
     R = np.zeros((NM, NM), dtype=np.complex128)
     for j, a in enumerate(sg.scales):
         cj = sg.scale_weights[j] * a ** (2.0 * gam - q)
-        # G[x_r, y_r, y_c] = sum_r K[x_r, y_r, r] * wdata[y_c, r]
-        Gs = np.einsum("xyr,cr->xyc", K, sdata_syn[j], optimize=True)
-        Ga = np.einsum("xyr,cr->xyc", K, np.conj(sdata_ana[j]), optimize=True)
+        # G[y_c, x_r, y_r] = sum_r K[x_r, y_r, r] * wdata[y_c, r]
+        Gs = np.einsum("xyr,cr->cxy", K, sdata_syn[j], optimize=True)
+        Ga = np.einsum("xyr,cr->cxy", K, np.conj(sdata_ana[j]), optimize=True)
         sig = symbol.values[j].reshape(nc, m)
         for ic in range(nc):
-            # columns of diff: lattice index of (y_c - x_c) for x_c = ic
-            cols = diff[:, ic]
-            P = Gs[:, :, cols].transpose(0, 2, 1).reshape(m, NM)   # [x_r, (y_c,y_r)]
-            Q = Ga[:, :, cols].transpose(0, 2, 1).reshape(m, NM)
+            # window at y_c - x_c for x_c = node ic
+            P = lattice_shift(g, Gs, ic).transpose(1, 0, 2).reshape(m, NM)  # [x_r, (y_c,y_r)]
+            Q = lattice_shift(g, Ga, ic).transpose(1, 0, 2).reshape(m, NM)
             wX = cj * wflat.reshape(nc, m)[ic] * sig[ic]           # [x_r]
             R += (P * wX[:, None]).T @ Q
     return R

@@ -43,14 +43,6 @@ class TransformPlan:
         self.radial_factor = (normalized_bessel(g.alpha, np.outer(r, r))
                               * g.radial_weights[None, :]).astype(np.complex128)
 
-    @property
-    def source(self) -> BaseGrid:
-        return self.grid
-
-    @property
-    def target(self) -> BaseGrid:
-        return self.grid
-
     def matrix(self) -> np.ndarray:
         """Dense (N, N) matrix of Lambda(x_j, lam_k) w_j entries (N = n^d m)."""
         M = self.cart_factor

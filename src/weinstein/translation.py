@@ -15,8 +15,9 @@ Cartesian block, which covers every default test function.
 Radial off-node values are obtained by global barycentric interpolation on
 the Gauss-Legendre nodes (superalgebraic for smooth data); arguments
 beyond R use zero extension.  Cartesian lattice shifts are exact index
-rolls on the periodic lattice; fractional shifts use circular Lagrange
-interpolation.
+rolls on the periodic lattice (``lattice_shift``: node k holds
+(k - n//2) h on the torus of period 2L); fractional shifts use circular
+Lagrange interpolation.
 
 The convolution is evaluated in the translated-window form
 
@@ -24,7 +25,8 @@ The convolution is evaluated in the translated-window form
 
 which the transform diagonalizes exactly: F(f * g) = F(f) F(g).  For
 windows even in the Cartesian block this coincides with the reflected
-form int tau_x f(-y) g(y) dmu(y).
+form int tau_x f(-y) g(y) dmu(y).  Its Cartesian part is a cyclic lattice
+convolution, summed with the FFT (exact on the torus).
 """
 
 from __future__ import annotations
@@ -207,24 +209,43 @@ def check_translate_fourier(plan: TransformPlan, kernel: TranslationKernel,
     return lhs, Field(f.grid, fac * Ff.values)
 
 
+def lattice_shift(grid: BaseGrid, values: np.ndarray, k: int) -> np.ndarray:
+    """Samples of y -> v(y - x_k) for the lattice node with flat Cartesian index k.
+
+    Node j holds (j - n//2) h per axis on the torus of period 2L, so the
+    shift is an exact roll by k - n//2 along each Cartesian axis.  The
+    first axis of ``values`` is the flat Cartesian index; trailing axes
+    are carried along.
+    """
+    n, d = grid.cart_points, grid.d
+    steps = tuple(int(s) - n // 2 for s in np.unravel_index(k, (n,) * d))
+    v = values.reshape((n,) * d + values.shape[1:])
+    return np.roll(v, steps, axis=tuple(range(d))).reshape(values.shape)
+
+
+def cart_fft(grid: BaseGrid, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Discrete Fourier transform over the d Cartesian axes (first axis flat)."""
+    n, d = grid.cart_points, grid.d
+    v = values.reshape((n,) * d + values.shape[1:])
+    fft = np.fft.ifftn if inverse else np.fft.fftn
+    return fft(v, axes=tuple(range(d))).reshape(values.shape)
+
+
 def convolve(kernel: TranslationKernel, f: Field, g: Field) -> Field:
     """Weinstein convolution by quadrature over translated windows.
 
-    (f * g)(x) = sum_y w_y g(y) (tau_y f)(x): Cartesian part is an exact
-    lattice correlation on the torus; the radial part contracts the
-    translation tensor.
+    (f * g)(x) = sum_y w_y g(y) (tau_y f)(x): the radial part contracts the
+    translation tensor once; the Cartesian part is the cyclic lattice
+    convolution sum_{y_c} C(y_c) f(x_c - y_c), done with the FFT and moved
+    to the lattice origin by a shift through node 0.
     """
     _same_grid(f, g)
     gr = f.grid
-    K = kernel.tensor
-    wr = gr.radial_weights
-    wc = gr.cart_weight_flat
-    # C1[y_c, x_r, r] = sum_{y_r} w_r g[y_c, y_r] K[y_r, x_r, r]
-    C1 = np.einsum("y,cy,yxr->cxr", wr, g.values, K, optimize=True)
-    diff = gr.cart_diff_index()          # [x_c, y_c] -> lattice index of x_c - y_c
-    FG = f.values[diff]                  # [x_c, y_c, r]
-    out = np.einsum("c,cxr,icr->ix", wc, C1, FG, optimize=True)
-    return Field(gr, out)
+    # C[y_c, x_r, r] = w_c sum_{y_r} w_r g[y_c, y_r] K[y_r, x_r, r]
+    C = np.einsum("c,y,cy,yxr->cxr", gr.cart_weight_flat, gr.radial_weights,
+                  g.values, kernel.tensor, optimize=True)
+    spec = np.einsum("cxr,cr->cx", cart_fft(gr, C), cart_fft(gr, f.values))
+    return Field(gr, lattice_shift(gr, cart_fft(gr, spec, inverse=True), 0))
 
 
 def convolve_spectral(plan: TransformPlan, f: Field, g: Field) -> Field:

@@ -23,7 +23,8 @@ from .report import CheckRow, make_row
 from .special import weinstein_kernel
 from .transform import (build_plan, check_hausdorff_young, check_parseval,
                         check_plancherel, forward, inverse)
-from .translation import ThetaRule, TranslationKernel, convolve, convolve_spectral, translate
+from .translation import (ThetaRule, TranslationKernel, convolve, convolve_spectral,
+                          lattice_shift, translate)
 from .wavelets import (WaveletPair, admissibility_constant, build_pair, cwt,
                        cwt_convolution_form, check_two_wavelet_parseval, dilate,
                        family_member, invert_cwt, two_wavelet_constant,
@@ -704,14 +705,12 @@ def _paracommutator_weak(pair: WaveletPair, sym, f: Field, g2: Field, st: Stack)
     zeta_field = Field(g, np.asarray(sym.zeta, dtype=complex))
     Fzeta = forward(plan, zeta_field)
     K = pair.kernel.tensor
-    diff = g.cart_diff_index()
     nc, m = g.shape
     # V[(eta_c, eta_r), (xi_c, xi_r)] = (tau_eta F_zeta)(xi)
+    G = np.einsum("xyr,cr->cxy", K, Fzeta.values)         # [xi_c, eta_r, xi_r]
     V = np.empty((nc * m, nc, m), dtype=np.complex128)
     for ic in range(nc):
-        shifted = Fzeta.values[diff[:, ic]]               # [xi_c, r]
-        blk = np.einsum("xyr,cr->xcy", K, shifted)        # [eta_r, xi_c, xi_r]
-        V[ic * m:(ic + 1) * m] = blk
+        V[ic * m:(ic + 1) * m] = lattice_shift(g, G, ic).transpose(1, 0, 2)
     Ff = forward(plan, f).values.reshape(-1)
     Fg = forward(plan, g2).values.reshape(-1)
     pts = g.nodes()

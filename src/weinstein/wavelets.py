@@ -18,11 +18,12 @@ admissibility constants and all identities at those frequencies are
 unaffected; it only conditions the discrete realization of the family.
 
 Two independent evaluation pipelines are provided: ``cwt`` contracts the
-quadrature translation tensor against materialized window data
-(real-space route), while ``cwt_convolution_form`` evaluates
-a^{alpha+1+d/2} (f_reflected * conj(phi_a)) through transform products
-(spectral route).  Their agreement is a structural check on the whole
-translation/dilation convention chain.
+quadrature translation tensor against f and correlates the result with
+the window samples on the lattice (real-space route; the lattice sum uses
+the FFT, exact on the torus), while ``cwt_convolution_form`` evaluates
+a^{alpha+1+d/2} (f_reflected * conj(phi_a)) through Weinstein transform
+products (spectral route).  Their agreement is a structural check on the
+whole translation/dilation convention chain.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import numpy as np
 
 from .grids import (BaseGrid, Field, ScaleField, ScaleGrid, inner_product,
                     reflect, scale_inner_product)
-from .translation import TranslationKernel, convolve_spectral, radial_interp_matrix
+from .translation import (TranslationKernel, cart_fft, convolve_spectral, lattice_shift,
+                          radial_interp_matrix)
 from .transform import TransformPlan, forward, inverse
 
 #: taper is flat below FLAT * extent and zero above CUT * extent, per axis
@@ -337,25 +339,27 @@ def build_pair(plan: TransformPlan, scale_grid: ScaleGrid, kernel: TranslationKe
 def cwt(pair: WaveletPair, f: Field, which: str = "phi") -> ScaleField:
     """W(f)(a, x) = <f, phi_{a,x}>: real-space quadrature route.
 
-    Contracts the translation tensor against the per-scale window data:
-    the same discrete family realization the localization assembly uses,
-    so operator weak forms match this transform exactly.
+    Contracts the translation tensor against f once, then correlates the
+    result with the window samples phi_a of every scale on the lattice:
+    one batched spectral product B^ conj(phi_a^) over the scale axis, an
+    inverse FFT, and a shift through the node -x_0 (a correlation's
+    lattice origin).  This is the same discrete family realization the
+    localization assembly uses, so operator weak forms match this
+    transform exactly.
     """
     g = pair.plan.grid
     if f.grid is not g:
         raise ValueError("field not on the pair's grid")
-    K = pair.kernel.tensor
-    wr = g.radial_weights
-    wc = g.cart_weight_flat
-    diff = g.cart_diff_index()          # [i, j] -> index of x_i - x_j
-    sdata = pair.space_data(which)
-    B = np.einsum("y,cy,xyr->cxr", wr, f.values, K, optimize=True)
-    out = np.empty(pair.scale_grid.shape, dtype=np.complex128)
-    gam = pair.gamma
-    for j, a in enumerate(pair.scale_grid.scales):
-        WG = sdata[j][diff]             # [y_c, x_c, r] : window at (y_c - x_c, r)
-        out[j] = a**gam * np.einsum("c,cxr,cir->ix", wc, B, np.conj(WG), optimize=True)
-    return ScaleField(pair.scale_grid, out)
+    # B[y_c, x_r, r] = w_c sum_{y_r} w_r f[y_c, y_r] K[x_r, y_r, r]
+    B = np.einsum("c,y,cy,xyr->cxr", g.cart_weight_flat, g.radial_weights,
+                  f.values, pair.kernel.tensor, optimize=True)
+    # spec[k, x_r, j] = sum_r B^[k, x_r, r] conj(phi_j^[k, r])
+    Wh = np.conj(cart_fft(g, pair.space_data(which).transpose(1, 2, 0)))
+    spec = np.matmul(cart_fft(g, B), Wh)
+    corr = lattice_shift(g, cart_fft(g, spec, inverse=True), g.cart_reflect_index()[0])
+    sg = pair.scale_grid
+    out = sg.scales[:, None, None] ** pair.gamma * corr.transpose(2, 0, 1)
+    return ScaleField(sg, out)
 
 
 def cwt_convolution_form(pair: WaveletPair, f: Field, which: str = "phi") -> ScaleField:
@@ -386,7 +390,11 @@ def invert_cwt(pair: WaveletPair, W: ScaleField) -> Field:
     """f(y) = (1/C_{phi,psi}) int_X W(a, x) psi_{a,x}(y) dmu(a, x).
 
     Synthesis by quadrature over all scale-space cells with the same
-    family realization as ``cwt``.  Refuses near-degenerate pairs.
+    family realization as ``cwt``.  The lattice convolutions of every
+    scale are summed in the spectrum, sum_j c_j W_j^ psi_j^ (one batched
+    product over the scale axis), followed by one inverse FFT, one shift
+    through node 0 and one contraction of the translation tensor.
+    Refuses near-degenerate pairs.
     """
     if W.grid is not pair.scale_grid:
         raise ValueError("scale field not on the pair's scale grid")
@@ -395,18 +403,12 @@ def invert_cwt(pair: WaveletPair, W: ScaleField) -> Field:
         raise ValueError("cross admissibility constant is numerically zero; "
                          "reconstruction refused")
     g = pair.plan.grid
-    K = pair.kernel.tensor
-    wr = g.radial_weights
-    wc = g.cart_weight_flat
-    diff = g.cart_diff_index()
-    sdata = pair.space_data("psi")
-    gam = pair.gamma
-    q = pair.scale_grid.measure_power
-    acc = np.zeros(g.shape, dtype=np.complex128)
-    for j, a in enumerate(pair.scale_grid.scales):
-        cj = pair.scale_grid.scale_weights[j] * a ** (gam - q)
-        # C1[x_c, y_r, r] = sum_{x_r} w_r W[x_c, x_r] K[x_r, y_r, r]
-        C1 = np.tensordot(wr[None, :] * W.values[j], K, axes=([1], [0]))
-        WG = sdata[j][diff]             # [y_c, x_c, r] : psi_a at (y_c - x_c, r)
-        acc += cj * np.einsum("x,xyr,ixr->iy", wc, C1, WG, optimize=True)
-    return Field(g, acc / pair.C_phi_psi)
+    sg = pair.scale_grid
+    c = sg.scale_weights * sg.scales ** (pair.gamma - sg.measure_power)
+    cW = c[:, None, None] * g.node_weights * W.values
+    # S^[k, x_r, r] = sum_j c_j (w W_j)^[k, x_r] psi_j^[k, r]
+    spec = np.matmul(cart_fft(g, cW.transpose(1, 2, 0)),
+                     cart_fft(g, pair.space_data("psi").transpose(1, 0, 2)))
+    S = lattice_shift(g, cart_fft(g, spec, inverse=True), 0)
+    out = np.einsum("cxr,xyr->cy", S, pair.kernel.tensor, optimize=True)
+    return Field(g, out / pair.C_phi_psi)

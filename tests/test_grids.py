@@ -97,35 +97,29 @@ def test_lp_norm_homogeneity_and_zero():
 
 
 def test_reflect_involution_and_isometry():
-    g = make_grid()
-    rng = np.random.default_rng(7)
-    f = Field(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
-    assert np.array_equal(reflect(reflect(f)).values, f.values)
-    # weight-preserving permutation: norms agree to rounding (summation order)
-    for p in (1, 2, np.inf):
-        assert lp_norm(reflect(f), p) == pytest.approx(lp_norm(f, p), rel=1e-15)
-    # even field is a fixed point
-    e = field_from_function(g, lambda p: np.exp(-np.sum(p**2, axis=-1) / 2))
-    assert np.max(np.abs(reflect(e).values - e.values)) < 1e-15
-    # reflect of exp(i k x') samples equals exp(-i k x') samples, for a
-    # frequency-lattice k (exactly periodic on the torus)
-    k = g.cart_axis[g.cart_points // 2 + 3]
-    w = field_from_function(g, lambda p: np.exp(1j * k * p[..., 0]))
-    wr = field_from_function(g, lambda p: np.exp(-1j * k * p[..., 0]))
-    assert np.max(np.abs(reflect(w).values - wr.values)) < 1e-12
-
-
-def test_lattice_difference_index():
-    g = make_grid(n=16, m=8)
-    diff = g.cart_diff_index()
-    cart = g.cart_coordinates()[:, 0]
-    period = 2 * g.cart_extent
-    for i in (0, 3, 11):
-        for j in (0, 5, 15):
-            got = cart[diff[i, j]]
-            want = cart[i] - cart[j]
-            residue = (got - want) % period
-            assert min(residue, period - residue) < 1e-12
+    # even and odd lattice sizes: node j holds (j - n//2) h in both cases
+    for n in (48, 33):
+        g = make_grid(n=n)
+        rng = np.random.default_rng(7)
+        f = Field(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+        assert np.array_equal(reflect(reflect(f)).values, f.values)
+        # weight-preserving permutation: norms agree to rounding (summation order)
+        for p in (1, 2, np.inf):
+            assert lp_norm(reflect(f), p) == pytest.approx(lp_norm(f, p), rel=1e-15)
+        # even field is a fixed point
+        e = field_from_function(g, lambda p: np.exp(-np.sum(p**2, axis=-1) / 2))
+        assert np.max(np.abs(reflect(e).values - e.values)) < 1e-15
+        # reflect of exp(i k x') samples equals exp(-i k x') samples, for a
+        # frequency-lattice k (exactly periodic on the torus)
+        k = g.cart_axis[g.cart_points // 2 + 3]
+        w = field_from_function(g, lambda p: np.exp(1j * k * p[..., 0]))
+        wr = field_from_function(g, lambda p: np.exp(-1j * k * p[..., 0]))
+        assert np.max(np.abs(reflect(w).values - wr.values)) < 1e-12
+        # the permutation sends each node to the node holding minus its value
+        cart = g.cart_coordinates()[:, 0]
+        period = 2 * g.cart_extent
+        residue = (cart[g.cart_reflect_index()] + cart) % period
+        assert np.max(np.minimum(residue, period - residue)) < 1e-12
 
 
 def test_scale_grid_weights():

@@ -27,12 +27,14 @@ def test_gaussian_fixed_point(alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
 def test_roundtrip(alpha):
-    g, plan = stack(alpha)
-    rng = np.random.default_rng(11)
-    f = random_field(g, rng)
-    assert rel(inverse(plan, forward(plan, f)), f) < 1e-6
-    z = Field(g, np.zeros(g.shape))
-    assert lp_norm(inverse(plan, z), 2) == 0.0
+    # odd n exercises the reflection x -> -x on a lattice without a -n/2 node
+    for n in (48, 49):
+        g, plan = stack(alpha, n=n)
+        rng = np.random.default_rng(11)
+        f = random_field(g, rng)
+        assert rel(inverse(plan, forward(plan, f)), f) < 1e-6
+        z = Field(g, np.zeros(g.shape))
+        assert lp_norm(inverse(plan, z), 2) == 0.0
 
 
 def test_linearity():

@@ -9,7 +9,7 @@ from weinstein.probes import gaussian, random_even_field, random_field
 from weinstein.transform import build_plan, forward
 from weinstein.translation import (ThetaRule, TranslationKernel,
                                    check_translate_fourier, convolve,
-                                   convolve_spectral, translate)
+                                   convolve_spectral, lattice_shift, translate)
 
 
 def stack(alpha=0.5, n=48, m=48):
@@ -100,6 +100,20 @@ def test_translate_transform_identity():
     assert rel(lhs0, rhs0) < 1e-12
 
 
+def test_lattice_shift_matches_translate():
+    # shifting by node k is translate() to (x_k, 0), for even and odd n
+    for d, n, m in ((1, 16, 8), (1, 15, 8), (2, 8, 6), (2, 7, 6)):
+        g = build_base_grid(0.5, d, n, m)
+        kern = TranslationKernel(g, ThetaRule(0.5, 16))
+        rng = np.random.default_rng(n)
+        f = Field(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+        cart = g.cart_coordinates()
+        for k in (0, 1, g.n_cart // 2, g.n_cart - 1, int(rng.integers(g.n_cart))):
+            want = translate(kern, np.append(cart[k], 0.0), f).values
+            got = lattice_shift(g, f.values, k)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
 def test_translate_mass_preservation():
     g, plan, kern = stack()
     f = gaussian(g)
@@ -143,15 +157,17 @@ def test_convolution_transform_identity_general():
 
 
 def test_convolution_commutative_and_spectral():
-    g, plan, kern = stack()
-    rng = np.random.default_rng(3)
-    f, h = random_even_field(g, rng), random_even_field(g, rng)
-    cv = convolve(kern, f, h)
-    assert rel(convolve(kern, h, f), cv) < 1e-12
-    assert rel(cv, convolve_spectral(plan, f, h)) < 2e-4
-    # ||f*g||_2 = ||F(f) F(g)||_2
-    pr = Field(g, forward(plan, f).values * forward(plan, h).values)
-    assert lp_norm(cv, 2) == pytest.approx(lp_norm(pr, 2), rel=2e-4)
+    # odd n too: the spectral route inverts through the x -> -x reflection
+    for n in (48, 33):
+        g, plan, kern = stack(n=n)
+        rng = np.random.default_rng(3)
+        f, h = random_even_field(g, rng), random_even_field(g, rng)
+        cv = convolve(kern, f, h)
+        assert rel(convolve(kern, h, f), cv) < 1e-12
+        assert rel(cv, convolve_spectral(plan, f, h)) < 2e-4
+        # ||f*g||_2 = ||F(f) F(g)||_2
+        pr = Field(g, forward(plan, f).values * forward(plan, h).values)
+        assert lp_norm(cv, 2) == pytest.approx(lp_norm(pr, 2), rel=2e-4)
 
 
 def test_gaussian_convolution_closed_form():

@@ -8,7 +8,8 @@ from weinstein.grids import (Field, build_base_grid, build_scale_grid, inner_pro
                              lp_norm, scale_inner_product, scale_lp_norm, ScaleField)
 from weinstein.probes import gaussian, random_even_field
 from weinstein.transform import build_plan, forward
-from weinstein.translation import ThetaRule, TranslationKernel, translate
+from weinstein.translation import (ThetaRule, TranslationKernel, convolve, convolve_spectral,
+                                   translate)
 from weinstein.wavelets import (Window, admissibility_constant, build_pair, cwt,
                                 cwt_convolution_form, check_two_wavelet_parseval,
                                 default_windows, dilate, family_member, invert_cwt,
@@ -23,6 +24,27 @@ def st():
     sg = build_scale_grid(g, 1 / 16, 16.0, 48)
     pair = build_pair(plan, sg, kern)
     return g, plan, kern, sg, pair
+
+
+@pytest.fixture(scope="module")
+def st2():
+    # tiny d=2 stack: the lattice sums run over two Cartesian axes
+    g = build_base_grid(0.5, 2, 10, 10)
+    plan = build_plan(g)
+    kern = TranslationKernel(g, ThetaRule(0.5, 32))
+    sg = build_scale_grid(g, 1 / 16, 16.0, 24)
+    pair = build_pair(plan, sg, kern)
+    return g, plan, kern, sg, pair
+
+
+@pytest.fixture(scope="module")
+def st_odd():
+    # odd n: a correlation's lattice origin -x_0 is not node 0
+    g = build_base_grid(0.5, 1, 49, 48)
+    plan = build_plan(g)
+    kern = TranslationKernel(g, ThetaRule(0.5))
+    sg = build_scale_grid(g, 1 / 16, 16.0, 48)
+    return g, plan, kern, sg, build_pair(plan, sg, kern)
 
 
 def xrel(W1, W2, sg):
@@ -132,22 +154,22 @@ def test_cwt_pipelines_agree(st):
         assert xrel(W1, W2, sg) < 2e-3
 
 
-def test_cwt_matches_direct_inner_products(st):
+def test_cwt_matches_direct_inner_products(st, st2, st_odd):
     # the scale-space samples are literally <f, phi_{a,x}> with the
-    # translated-dilated family materialized one member at a time
-    g, plan, kern, sg, pair = st
-    f = gaussian(g)
-    W = cwt(pair, f, "phi")
-    rng = np.random.default_rng(2)
-    pts = g.nodes()
-    for _ in range(5):
-        j = int(rng.integers(8, sg.scale_points - 8))
-        flat = int(rng.integers(g.n_cart))
-        ir = int(rng.integers(g.radial_points // 2))
-        x = np.concatenate([g.cart_coordinates()[flat], [g.radial_nodes[ir]]])
-        fam = family_member(kern, plan, pair.phi, float(sg.scales[j]), x)
-        direct = inner_product(f, fam)
-        assert abs(W.values[j, flat, ir] - direct) <= 1e-10 * max(abs(direct), 1.0)
+    # translated-dilated family materialized one member at a time (the
+    # members are shifted by translate(), independently of the FFT)
+    for g, plan, kern, sg, pair in (st, st2, st_odd):
+        f = gaussian(g)
+        W = cwt(pair, f, "phi")
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            j = int(rng.integers(8, sg.scale_points - 8))
+            flat = int(rng.integers(g.n_cart))
+            ir = int(rng.integers(g.radial_points // 2))
+            x = np.concatenate([g.cart_coordinates()[flat], [g.radial_nodes[ir]]])
+            fam = family_member(kern, plan, pair.phi, float(sg.scales[j]), x)
+            direct = inner_product(f, fam)
+            assert abs(W.values[j, flat, ir] - direct) <= 1e-10 * max(abs(direct), 1.0)
 
 
 def test_cwt_zero_and_linearity(st):
@@ -192,13 +214,13 @@ def test_self_parseval_with_admissibility_constant(st):
     assert lhs == pytest.approx(pair.C_phi * lp_norm(f, 2) ** 2, rel=0.02)
 
 
-def test_inversion_roundtrip(st):
-    g, plan, kern, sg, pair = st
-    f = gaussian(g)
-    rec = invert_cwt(pair, cwt(pair, f, "phi"))
-    assert lp_norm(rec - f, 2) / lp_norm(f, 2) < 0.02
-    z = ScaleField(sg, np.zeros(sg.shape))
-    assert np.max(np.abs(invert_cwt(pair, z).values)) == 0.0
+def test_inversion_roundtrip(st, st_odd):
+    for g, plan, kern, sg, pair in (st, st_odd):
+        f = gaussian(g)
+        rec = invert_cwt(pair, cwt(pair, f, "phi"))
+        assert lp_norm(rec - f, 2) / lp_norm(f, 2) < 0.02
+        z = ScaleField(sg, np.zeros(sg.shape))
+        assert np.max(np.abs(invert_cwt(pair, z).values)) == 0.0
 
 
 def test_inversion_refuses_degenerate_pair(st):
@@ -222,18 +244,16 @@ def test_window_from_field_without_profile(st):
     assert C == pytest.approx(0.5, abs=5e-3)
 
 
-def test_d2_wavelet_chain_smoke():
+def test_d2_wavelet_chain_smoke(st2):
     # dimension-generic machinery on a tiny d=2 grid
     from weinstein import localization as loc
-    from weinstein.translation import ThetaRule, TranslationKernel
-    g = build_base_grid(0.5, 2, 10, 10)
-    plan = build_plan(g)
-    kern = TranslationKernel(g, ThetaRule(0.5, 32))
-    sg = build_scale_grid(g, 1 / 16, 16.0, 24)
-    pair = build_pair(plan, sg, kern)
+    g, plan, kern, sg, pair = st2
     assert pair.C_phi == pytest.approx(0.5, abs=1e-4)
     assert pair.constancy_spread < 1e-3
     f = gaussian(g)
+    h = gaussian(g, 0.8)
+    cv = convolve(kern, f, h)
+    assert lp_norm(cv - convolve_spectral(plan, f, h), 2) < 1e-3 * lp_norm(cv, 2)
     W1 = cwt(pair, f, "phi")
     W2 = cwt_convolution_form(pair, f, "phi")
     num = np.sqrt(np.sum(sg.combined_weights * np.abs(W1.values - W2.values) ** 2))
@@ -241,7 +261,6 @@ def test_d2_wavelet_chain_smoke():
     assert num / den < 1e-2
     sym = loc.symbol_bump(sg)
     L = loc.assemble(pair, sym)
-    h = gaussian(g, 0.8)
     weak = loc.weak_form(pair, sym, f, h)
     strong = inner_product(loc.apply_operator(L, f), h)
     assert abs(weak - strong) <= 1e-12 * abs(weak)
