@@ -10,12 +10,16 @@ realized as a dense matrix of kernel values
 
 evaluated with exactly the same discrete family as the wavelet transform,
 so the weak form <L f, g> = int sigma W_phi(f) conj(W_psi(g)) dmu holds as
-a finite-sum identity, not an approximation.
+a finite-sum identity, not an approximation.  Every term of R is a cyclic
+shift on the Cartesian lattice, so R is assembled in the lattice spectrum,
+where the sum over the Cartesian node x_c becomes one product per pair of
+frequencies (see ``_assemble_matrix``).
 
 Measured operator norms on the weighted sequence spaces: p = 1 and
 p = inf are the exact induced norms (weighted column and row sums); p = 2
-is the top singular value of the similarity-transformed matrix; other p
-get a certified lower bound from random Gaussian-class probes.
+is the top singular value of the similarity-transformed matrix, whose
+singular values are computed once per operator; other p get a certified
+lower bound from random Gaussian-class probes.
 
 Norm bounds implemented (sigma in L^1(X) unless noted):
   p1        ||phi||_inf ||psi||_1 ||sigma||_1            (p = 1)
@@ -31,13 +35,15 @@ Norm bounds implemented (sigma in L^1(X) unless noted):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .grids import Field, ScaleField, ScaleGrid, lp_norm, scale_lp_norm
 from .probes import random_field
 from .transform import forward, inverse
-from .translation import lattice_shift
+from .translation import cart_fft, lattice_shift
 from .wavelets import WaveletPair, cwt
 
 
@@ -121,7 +127,8 @@ class LocalizationOperator:
     """Dense kernel-matrix realization of the localization operator.
 
     ``matrix[y, z]`` holds R(y, z); application integrates against
-    mu_alpha in z: (L f)(y) = sum_z R(y, z) w_z f(z).
+    mu_alpha in z: (L f)(y) = sum_z R(y, z) w_z f(z).  The matrix is not
+    changed after construction, so its singular values are computed once.
     """
 
     pair: WaveletPair
@@ -137,41 +144,64 @@ class LocalizationOperator:
     def grid(self):
         return self.pair.plan.grid
 
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Decreasing singular values of the measure-symmetrized matrix (read-only)."""
+        sv = np.linalg.svd(_sym_matrix(self), compute_uv=False)
+        sv.flags.writeable = False
+        return sv
+
 
 def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool) -> np.ndarray:
-    """Accumulate R(y,z) = sum_j w_j sum_x w_x sigma (tau_x psi_a)(y) conj(tau_x phi_a)(z).
+    """R(y,z) = sum_j w_j sum_x w_x sigma (tau_x psi_a)(y) conj(tau_x phi_a)(z).
 
     The family normalization a^{2 gamma} cancels the scale-measure factor
-    a^{-(2 alpha + d + 2)} exactly.  Per scale and Cartesian offset the
-    update is a rank-m matrix product.
+    a^{-(2 alpha + d + 2)} exactly, so scale j carries D_j = c_j w sigma_j
+    with c_j = w_j a_j^{2 gamma - q}.  Let G_j[y_c, x_r, y_r] =
+    sum_r K[x_r, y_r, r] phi_{a_j}[y_c, r] be the radially contracted window
+    moved to the lattice origin: Gs from the synthesis window, Ga from the
+    conjugated analysis window.  Every term is then a cyclic shift in x_c,
+    so the DFT over (y_c, z_c) diagonalizes the sum over x_c:
+
+        R^[k, y_r, l, z_r] = sum_{j, x_r} Gs^_j[k, x_r, y_r] D^_j[k + l, x_r] Ga^_j[l, x_r, z_r],
+
+    with k + l taken mod n per Cartesian axis.  Each row k is one GEMM over
+    (j, x_r) followed by an inverse DFT over l; a last inverse DFT over k,
+    in place, gives R.  The cost is J n^{2d} m^3, not J (n^d m)^3.
     """
     if symbol.grid is not pair.scale_grid:
         raise ValueError("symbol not on the pair's scale grid")
     g = pair.plan.grid
     sg = pair.scale_grid
     K = pair.kernel.tensor
+    n, d = g.cart_points, g.d
     nc, m = g.shape
-    NM = nc * m
-    wflat = g.node_weights.reshape(-1)
+    Jm = sg.scale_points * m
     analysis, synthesis = ("psi", "phi") if swapped else ("phi", "psi")
-    sdata_syn = pair.space_data(synthesis)
-    sdata_ana = pair.space_data(analysis)
-    gam = pair.gamma
-    q = sg.measure_power
-    R = np.zeros((NM, NM), dtype=np.complex128)
-    for j, a in enumerate(sg.scales):
-        cj = sg.scale_weights[j] * a ** (2.0 * gam - q)
-        # G[y_c, x_r, y_r] = sum_r K[x_r, y_r, r] * wdata[y_c, r]
-        Gs = np.einsum("xyr,cr->cxy", K, sdata_syn[j], optimize=True)
-        Ga = np.einsum("xyr,cr->cxy", K, np.conj(sdata_ana[j]), optimize=True)
-        sig = symbol.values[j].reshape(nc, m)
-        for ic in range(nc):
-            # window at y_c - x_c for x_c = node ic
-            P = lattice_shift(g, Gs, ic).transpose(1, 0, 2).reshape(m, NM)  # [x_r, (y_c,y_r)]
-            Q = lattice_shift(g, Ga, ic).transpose(1, 0, 2).reshape(m, NM)
-            wX = cj * wflat.reshape(nc, m)[ic] * sig[ic]           # [x_r]
-            R += (P * wX[:, None]).T @ Q
-    return R
+
+    def spectrum(data):
+        # (J, n^d, m) window samples -> (n^d, J, m) DFT of them moved to the origin
+        return cart_fft(g, lattice_shift(g, data.transpose(1, 0, 2), 0))
+
+    syn_hat = spectrum(pair.space_data(synthesis))
+    ana_hat = spectrum(np.conj(pair.space_data(analysis)))
+    # Ga^[(j, x_r), l, z_r] for every scale; Gs^ is contracted per row k below
+    Ga = np.einsum("xzr,ljr->jxlz", K, ana_hat, optimize=True).reshape(Jm, nc, m)
+    c = sg.scale_weights * sg.scales ** (2.0 * pair.gamma - sg.measure_power)
+    D = c[:, None, None] * g.node_weights * symbol.values
+    # D^[(j, x_r), p], C-ordered so that a row's product with Ga reshapes as a view
+    D = np.ascontiguousarray(cart_fft(g, D.transpose(1, 0, 2)).reshape(nc, Jm).T)
+    cells = np.indices((n,) * d).reshape(d, nc)
+    R = np.empty((nc, m, nc, m), dtype=np.complex128)      # [k, y_r, l, z_r]
+    for k in range(nc):
+        k_plus_l = np.ravel_multi_index((cells + cells[:, k:k + 1]) % n, (n,) * d)
+        # Gs^[y_r, (j, x_r)] = sum_r K[x_r, y_r, r] syn^[k, j, r]
+        Gs = (K @ syn_hat[k].T).transpose(1, 2, 0).reshape(m, Jm)
+        row = Gs @ (D[:, k_plus_l, None] * Ga).reshape(Jm, nc * m)
+        R[k] = sp_fft.ifftn(row.reshape((m,) + (n,) * d + (m,)), axes=tuple(range(1, d + 1)),
+                            overwrite_x=True).reshape(m, nc, m)
+    R = sp_fft.ifftn(R.reshape((n,) * d + (m, nc, m)), axes=tuple(range(d)), overwrite_x=True)
+    return R.reshape(nc * m, nc * m)
 
 
 def assemble(pair: WaveletPair, symbol: SymbolField) -> LocalizationOperator:
@@ -213,7 +243,9 @@ def weak_form(L_or_pair, symbol: SymbolField, f: Field, g: Field) -> complex:
 def _sym_matrix(L: LocalizationOperator) -> np.ndarray:
     w = L.grid.node_weights.reshape(-1)
     s = np.sqrt(w)
-    return (s[:, None] * L.matrix) * s[None, :]
+    M = s[:, None] * L.matrix
+    M *= s
+    return M
 
 
 def probe_matrix(grid, samples: int = 200, seed: int = 1234) -> np.ndarray:
@@ -234,13 +266,12 @@ def measured_norm(L: LocalizationOperator, p: float, samples: int = 200,
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     w = L.grid.node_weights.reshape(-1)
-    A = np.abs(L.matrix)
     if p == 1:
-        return float(np.max(w @ A))
+        return float(np.max(w @ np.abs(L.matrix)))
     if p == np.inf:
-        return float(np.max(A @ w))
+        return float(np.max(np.abs(L.matrix) @ w))
     if p == 2:
-        return float(np.linalg.svd(_sym_matrix(L), compute_uv=False)[0])
+        return float(L.singular_values[0])
     if probes is None:
         probes = probe_matrix(L.grid, samples, seed)
     out = L.matrix @ (w[:, None] * probes)
@@ -251,8 +282,8 @@ def measured_norm(L: LocalizationOperator, p: float, samples: int = 200,
 
 
 def singular_value_profile(L: LocalizationOperator) -> np.ndarray:
-    """Decreasing singular values of the measure-symmetrized matrix."""
-    return np.linalg.svd(_sym_matrix(L), compute_uv=False)
+    """Decreasing singular values of the measure-symmetrized matrix (read-only)."""
+    return L.singular_values
 
 
 def _window_norms(pair: WaveletPair) -> dict:

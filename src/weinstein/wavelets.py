@@ -117,9 +117,11 @@ def _cart_eval_matrix(grid: BaseGrid, pts: np.ndarray, order: int = 10) -> np.nd
     """(len(pts), n) Lagrange evaluation rows on one Cartesian axis.
 
     Clipped (non-circular) stencils with zero extension beyond the box:
-    used for continuum-function evaluation such as F(phi)(a xi).
+    used for continuum-function evaluation such as F(phi)(a xi).  Axes
+    with fewer than ``order`` points use all of them.
     """
     n = grid.cart_points
+    order = min(order, n)
     h = grid.cart_step
     x0 = grid.cart_axis[0]
     pts = np.asarray(pts, dtype=float).ravel()

@@ -7,9 +7,10 @@ from weinstein import localization as loc
 from weinstein.grids import (Field, build_base_grid, build_scale_grid, inner_product,
                              lp_norm, scale_lp_norm, ScaleField)
 from weinstein.probes import gaussian, random_even_field, random_field
-from weinstein.transform import build_plan
-from weinstein.translation import ThetaRule, TranslationKernel
-from weinstein.wavelets import WaveletPair, build_pair, family_member
+from weinstein.transform import build_plan, inverse
+from weinstein.translation import ThetaRule, TranslationKernel, translate
+from weinstein.wavelets import (Window, WaveletPair, build_pair, family_member,
+                                scaled_window_data)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,53 @@ def test_rank_one_single_cell(st):
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1e-300)
 
 
+def _family(pair, window):
+    """(J, N, N) members a^gamma tau_x phi_a of ``window``, one row per node x.
+
+    phi_a is built once per scale as in ``family_member``; every node's
+    shift goes through ``translate`` (no lattice roll, FFT or tensor
+    contraction).
+    """
+    g, plan = pair.plan.grid, pair.plan
+    pts = [np.concatenate([c, [r]]) for c in g.cart_coordinates() for r in g.radial_nodes]
+    fam = []
+    for a in pair.scale_grid.scales:
+        wa = inverse(plan, Field(g, scaled_window_data(window, plan, float(a), pair.taper)))
+        fam.append([a**pair.gamma * translate(pair.kernel, x, wa).values.reshape(-1)
+                    for x in pts])
+    return np.array(fam)
+
+
+@pytest.mark.parametrize("d,n,m,scales", [(1, 11, 8, 6), (1, 10, 8, 6), (2, 10, 4, 3)])
+def test_assembly_matches_definition(d, n, m, scales):
+    # R(y, z) = sum_j w_j a_j^{-q} sum_x w_x sigma psi_{a,x}(y) conj(phi_{a,x}(z)),
+    # summed member by member; real and complex symbols, a complex window
+    # without a frequency profile, both orientations
+    g = build_base_grid(0.5, d, n, m)
+    plan = build_plan(g)
+    kern = TranslationKernel(g, ThetaRule(0.5, 32))
+    sg = build_scale_grid(g, 1 / 16, 16.0, scales)
+    pair = build_pair(plan, sg, kern)
+    x1 = g.nodes()[:, 0].reshape(g.shape)
+    phi_mod = Window(field=Field(g, pair.phi.field.values * np.exp(0.7j * x1)),
+                     freq_profile=None)
+    pair_mod = build_pair(plan, sg, kern, phi_mod, pair.psi)
+    bump = loc.symbol_bump(sg)
+    bump_mod = loc.SymbolField(sg, bump.values * np.exp(0.8j * x1)[None])
+    fam = {"phi": _family(pair, pair.phi), "psi": _family(pair, pair.psi)}
+    fam_mod = dict(fam, phi=_family(pair_mod, phi_mod))
+    w = g.node_weights.reshape(-1)
+    for pr, fm, sym in ((pair, fam, bump), (pair, fam, bump_mod), (pair_mod, fam_mod, bump)):
+        for swapped in (False, True):
+            syn, ana = ("phi", "psi") if swapped else ("psi", "phi")
+            R = np.zeros((g.n_nodes, g.n_nodes), dtype=complex)
+            for j, a in enumerate(sg.scales):
+                cw = sg.scale_weights[j] * a ** (-sg.measure_power) * w * sym.values[j].reshape(-1)
+                R += fm[syn][j].T @ (cw[:, None] * np.conj(fm[ana][j]))
+            L = loc.LocalizationOperator(pair=pr, symbol=sym, swapped=swapped)
+            assert np.max(np.abs(L.matrix - R)) < 1e-12 * np.max(np.abs(R))
+
+
 def test_symbol_scaling_monotonicity(st):
     g, plan, kern, sg, pair = st
     sym = loc.symbol_bump(sg)
@@ -183,6 +231,11 @@ def test_svd_profile_invariants(st):
     L = loc.assemble(pair, loc.symbol_bump(sg))
     sv = loc.singular_value_profile(L)
     assert np.all(np.diff(sv) <= 1e-12)
+    # one SVD per operator, shared read-only with the 2-norm
+    assert loc.measured_norm(L, 2) == sv[0]
+    assert loc.singular_value_profile(L) is sv
+    with pytest.raises(ValueError):
+        sv[0] = 0.0
     sva = loc.singular_value_profile(loc.adjoint(L))
     assert np.max(np.abs(sv - sva)) < 1e-8 * sv[0]
     # localized symbol: normalized singular values decay below 1e-3 within 25%

@@ -12,8 +12,8 @@ from weinstein.translation import (ThetaRule, TranslationKernel, convolve, convo
                                    translate)
 from weinstein.wavelets import (Window, admissibility_constant, build_pair, cwt,
                                 cwt_convolution_form, check_two_wavelet_parseval,
-                                default_windows, dilate, family_member, invert_cwt,
-                                two_wavelet_constant, window_from_profile)
+                                default_windows, dilate, eval_freq_data, family_member,
+                                invert_cwt, two_wavelet_constant, window_from_profile)
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +242,19 @@ def test_window_from_field_without_profile(st):
     w_field = Window(field=pair.phi.field, freq_profile=None)
     C, spread = admissibility_constant(plan, sg, w_field)
     assert C == pytest.approx(0.5, abs=5e-3)
+    # at the lattice nodes the interpolation returns the grid transform,
+    # also on an axis shorter than the 10-point Lagrange stencil (n = 8)
+    g8 = build_base_grid(0.5, 1, 8, 8)
+    plan8 = build_plan(g8)
+    sg8 = build_scale_grid(g8, 1 / 16, 16.0, 12)
+    pair8 = build_pair(plan8, sg8, TranslationKernel(g8, ThetaRule(0.5, 32)))
+    for pr in (pair, pair8):
+        gr, pl = pr.plan.grid, pr.plan
+        w = Window(field=pr.phi.field, freq_profile=None)
+        build_pair(pl, pr.scale_grid, pr.kernel, w, pr.psi)
+        Fw = forward(pl, w.field).values
+        at_nodes = eval_freq_data(w, pl, gr.nodes()).reshape(gr.shape)
+        assert np.max(np.abs(at_nodes - Fw)) <= 1e-12 * np.max(np.abs(Fw))
 
 
 def test_d2_wavelet_chain_smoke(st2):
@@ -259,8 +272,16 @@ def test_d2_wavelet_chain_smoke(st2):
     num = np.sqrt(np.sum(sg.combined_weights * np.abs(W1.values - W2.values) ** 2))
     den = np.sqrt(np.sum(sg.combined_weights * np.abs(W1.values) ** 2))
     assert num / den < 1e-2
-    sym = loc.symbol_bump(sg)
-    L = loc.assemble(pair, sym)
-    weak = loc.weak_form(pair, sym, f, h)
-    strong = inner_product(loc.apply_operator(L, f), h)
-    assert abs(weak - strong) <= 1e-12 * abs(weak)
+    # weak/strong consistency of the assembled operator, even and odd n
+    g_odd = build_base_grid(0.5, 2, 11, 10)
+    plan_odd = build_plan(g_odd)
+    sg_odd = build_scale_grid(g_odd, 1 / 16, 16.0, 24)
+    pair_odd = build_pair(plan_odd, sg_odd, TranslationKernel(g_odd, ThetaRule(0.5, 32)))
+    for pr in (pair, pair_odd):
+        gr = pr.plan.grid
+        f, h = gaussian(gr), gaussian(gr, 0.8)
+        sym = loc.symbol_bump(pr.scale_grid)
+        L = loc.assemble(pr, sym)
+        weak = loc.weak_form(pr, sym, f, h)
+        strong = inner_product(loc.apply_operator(L, f), h)
+        assert abs(weak - strong) <= 1e-12 * abs(weak)
