@@ -4,8 +4,9 @@ Subcommands: transform, cwt, localize, verify, convergence.  All accept
 --config PATH (key=value file) and repeatable --set key=value overrides.
 Outputs are CSV files under the configured output directory.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 configuration error,
-3 runtime error.
+Exit codes: 0 all checks pass, 1 check failure, 2 configuration error
+(including a CSV input that cannot be read, does not fit the grid or
+holds non-finite values), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -41,14 +42,14 @@ def _out_dir(cfg) -> Path:
 def cmd_transform(cfg) -> int:
     from .grids import Field
     from .probes import gaussian
-    from .report import field_to_csv, parse_field_csv
+    from .report import field_to_csv, parse_field_csv, read_csv_input
     from .transform import forward, inverse
     from .verify import build_stack
     st = build_stack(cfg.alpha, cfg.d, cfg.n, cfg.m, cfg.a_min, cfg.a_max,
                      cfg.scales, cfg.theta_count, cfg.cart_extent, cfg.radial_extent)
     out = _out_dir(cfg)
     if cfg.window_phi.startswith("csv:"):
-        vals = parse_field_csv(st.grid, Path(cfg.window_phi[4:]).read_text())
+        vals = parse_field_csv(st.grid, read_csv_input(cfg.window_phi))
         f = Field(st.grid, vals)
     else:
         f = gaussian(st.grid)
@@ -86,8 +87,8 @@ def cmd_localize(cfg) -> int:
                      cfg.op_scales, cfg.theta_count)
     pair = build_pair(st.plan, st.scale_grid, st.kernel)
     if cfg.symbol.startswith("csv:"):
-        from .report import parse_scale_field_csv
-        vals = parse_scale_field_csv(st.scale_grid, Path(cfg.symbol[4:]).read_text())
+        from .report import parse_scale_field_csv, read_csv_input
+        vals = parse_scale_field_csv(st.scale_grid, read_csv_input(cfg.symbol))
         sym = loc.SymbolField(st.scale_grid, vals)
     else:
         symbols = _symbols(st.scale_grid)
@@ -184,6 +185,9 @@ def main(argv=None) -> int:
             return cmd_verify(cfg)
         if args.command == "convergence":
             return cmd_convergence(cfg, args.levels)
+    except ConfigError as e:  # input files the config names (CSV windows, symbols)
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     except Exception as e:  # noqa: BLE001 - map any runtime failure to exit 3
         print(f"runtime error: {e}", file=sys.stderr)
         return 3

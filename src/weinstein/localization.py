@@ -41,7 +41,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .grids import Field, ScaleField, ScaleGrid, lp_norm, scale_lp_norm
-from .probes import random_field
+from .probes import random_fields
 from .transform import forward, inverse
 from .translation import cart_fft, lattice_shift
 from .wavelets import WaveletPair, cwt
@@ -250,9 +250,7 @@ def _sym_matrix(L: LocalizationOperator) -> np.ndarray:
 
 def probe_matrix(grid, samples: int = 200, seed: int = 1234) -> np.ndarray:
     """(N, samples) stacked random Gaussian-class probe values for norm estimation."""
-    rng = np.random.default_rng(seed)
-    return np.stack([random_field(grid, rng).values.reshape(-1)
-                     for _ in range(samples)], axis=1)
+    return random_fields(grid, np.random.default_rng(seed), samples)
 
 
 def measured_norm(L: LocalizationOperator, p: float, samples: int = 200,

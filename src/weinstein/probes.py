@@ -28,24 +28,39 @@ def random_field(grid: BaseGrid, rng: np.random.Generator) -> Field:
     Cartesian factor: (c0 + c1 u + c2 u^2) exp(i k u) exp(-(u-b)^2/(2s^2))
     per axis; radial factor: (1 + q r^2) exp(-r^2/(2s^2)).
     """
+    return Field(grid, random_fields(grid, rng, 1).reshape(grid.shape))
+
+
+def random_fields(grid: BaseGrid, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(n^d * m, count) values of ``count`` successive ``random_field`` probes.
+
+    Each probe's parameters are drawn from ``rng`` in turn, in the order
+    ``random_field`` draws them; all probes are then evaluated in one
+    broadcast, Cartesian and radial factors on their own axes.
+    """
     d = grid.d
-    sig = rng.uniform(0.7, 1.0)
-    b = rng.uniform(-0.8, 0.8, size=d)
-    k = rng.uniform(-1.0, 1.0, size=d)
-    c = rng.normal(size=(d, 3)) * np.array([1.0, 0.5, 0.15])
-    q = rng.uniform(-0.3, 0.3)
-
-    def fn(p):
-        u = p[..., :d]
-        r = p[..., d]
-        out = np.ones(p.shape[:-1], dtype=complex)
-        for ax in range(d):
-            v = u[..., ax]
-            out = out * ((c[ax, 0] + 1.0) + c[ax, 1] * v + c[ax, 2] * v**2)
-            out = out * np.exp(1j * k[ax] * v - (v - b[ax]) ** 2 / (2 * sig**2))
-        return out * (1.0 + q * r**2) * np.exp(-(r**2) / (2 * sig**2))
-
-    return field_from_function(grid, fn)
+    draws = []
+    for _ in range(count):
+        sig = rng.uniform(0.7, 1.0)
+        b = rng.uniform(-0.8, 0.8, size=d)
+        k = rng.uniform(-1.0, 1.0, size=d)
+        c = rng.normal(size=(d, 3)) * np.array([1.0, 0.5, 0.15])
+        q = rng.uniform(-0.3, 0.3)
+        # 2 s^2 from the scalar power: it can differ in the last bit from s * s
+        draws.append((2 * sig**2, b, k, c, q))
+    two_s2, b, k, c, q = (np.array(x) for x in zip(*draws))    # leading axis: probe
+    u = grid.cart_coordinates()
+    # in-place products: numpy rounds a complex product written into its
+    # right operand differently, and would do so here for large enough temporaries
+    cart = np.ones((grid.n_cart, count), dtype=complex)
+    for ax in range(d):
+        v = u[:, ax:ax + 1]
+        cart *= (c[:, ax, 0] + 1.0) + c[:, ax, 1] * v + c[:, ax, 2] * v**2
+        cart *= np.exp(1j * k[:, ax] * v - (v - b[:, ax]) ** 2 / two_s2)
+    r = grid.radial_nodes[:, None]
+    out = cart[:, None, :] * (1.0 + q * r**2)
+    out *= np.exp(-(r**2) / two_s2)
+    return out.reshape(-1, count)
 
 
 def random_even_field(grid: BaseGrid, rng: np.random.Generator) -> Field:

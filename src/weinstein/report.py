@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from pathlib import Path
 
 
 def fmt(x) -> str:
@@ -98,28 +99,64 @@ def matrix_to_csv(matrix) -> str:
     return buf.getvalue()
 
 
-def parse_field_csv(grid, text: str):
-    """Read a field CSV back onto a grid (row order must match grid.nodes())."""
+def read_csv_input(selector: str) -> str:
+    """Text of the file a ``csv:<path>`` config value names (ConfigError if unreadable)."""
+    from .config import ConfigError
+    try:
+        return Path(selector[4:]).read_text()
+    except OSError as e:
+        raise ConfigError(f"cannot read {selector!r}: {e}") from None
+
+
+def _parse_csv(text: str, coords: list[str], expected, what: str):
+    """Complex values of a CSV whose coordinate columns must match ``expected``.
+
+    ``expected`` is (rows, len(coords)); the files are written with 17
+    significant digits, so the coordinates must agree to rounding.  Raises
+    ConfigError on a wrong row count, missing column, coordinate mismatch
+    (another grid, or another row order) or non-finite value.
+    """
     import numpy as np
+    from .config import ConfigError
     rows = list(csv.reader(io.StringIO(text)))
-    header, data = rows[0], rows[1:]
-    if len(data) != grid.n_nodes:
-        raise ValueError(f"field CSV has {len(data)} rows, grid has {grid.n_nodes} nodes")
-    re_i = header.index("re")
-    im_i = header.index("im")
-    vals = np.array([complex(float(r[re_i]), float(r[im_i])) for r in data])
-    return vals.reshape(grid.shape)
+    header, data = (rows[0], rows[1:]) if rows else ([], [])
+    if len(data) != len(expected):
+        raise ConfigError(f"{what} CSV has {len(data)} rows, expected {len(expected)}")
+    names = coords + ["re", "im"]
+    missing = [c for c in names if c not in header]
+    if missing:
+        raise ConfigError(f"{what} CSV lacks columns {missing}")
+    cols = [header.index(c) for c in names]
+    try:
+        table = np.array([[float(r[i]) for i in cols] for r in data])
+    except (ValueError, IndexError) as e:
+        raise ConfigError(f"{what} CSV has a malformed row: {e}") from None
+    at = table[:, :-2]
+    off = ~(np.abs(at - expected) <= 1e-12 * np.maximum(np.abs(expected), 1.0))
+    if off.any():
+        i = int(np.argwhere(off)[0, 0])
+        raise ConfigError(f"{what} CSV row {i + 1} holds {at[i].tolist()}, the grid "
+                          f"expects {expected[i].tolist()} (another grid or row order)")
+    if not np.all(np.isfinite(table[:, -2:])):
+        i = int(np.argwhere(~np.isfinite(table[:, -2:]))[0, 0])
+        raise ConfigError(f"{what} CSV row {i + 1} holds a non-finite value")
+    vals = table[:, -2].astype(np.complex128)
+    vals.imag = table[:, -1]
+    return vals
+
+
+def parse_field_csv(grid, text: str):
+    """Read a field CSV back onto a grid (rows at grid.nodes(), in that order)."""
+    coords = [f"x_{i + 1}" for i in range(grid.d + 1)]
+    return _parse_csv(text, coords, grid.nodes(), "field").reshape(grid.shape)
 
 
 def parse_scale_field_csv(scale_grid, text: str):
     """Read a scale-space CSV back onto a scale grid (scale-major row order)."""
     import numpy as np
-    rows = list(csv.reader(io.StringIO(text)))
-    header, data = rows[0], rows[1:]
-    n_expect = scale_grid.scale_points * scale_grid.base.n_nodes
-    if len(data) != n_expect:
-        raise ValueError(f"scale CSV has {len(data)} rows, grid has {n_expect} cells")
-    re_i = header.index("re")
-    im_i = header.index("im")
-    vals = np.array([complex(float(r[re_i]), float(r[im_i])) for r in data])
-    return vals.reshape(scale_grid.shape)
+    base = scale_grid.base
+    coords = ["a"] + [f"x_{i + 1}" for i in range(base.d + 1)]
+    nodes = base.nodes()
+    expected = np.column_stack([np.repeat(scale_grid.scales, len(nodes)),
+                                np.tile(nodes, (scale_grid.scale_points, 1))])
+    return _parse_csv(text, coords, expected, "scale").reshape(scale_grid.shape)

@@ -82,11 +82,14 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
 def radial_interp_matrix(grid: BaseGrid, pts: np.ndarray) -> np.ndarray:
     """(len(pts), m) barycentric cardinal rows over the radial nodes.
 
-    Points beyond R get zero rows (decaying-function convention).
+    Points beyond R get zero rows (decaying-function convention);
+    non-finite points raise ValueError.
     """
     r = grid.radial_nodes
     bw = _bary_cache(grid)
     pts = np.asarray(pts, dtype=float).ravel()
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("interpolation points must be finite")
     A = np.zeros((len(pts), len(r)))
     inside = pts <= grid.radial_extent + 1e-14
     p = pts[inside]

@@ -725,35 +725,43 @@ def _paracommutator_weak(pair: WaveletPair, sym, f: Field, g2: Field, st: Stack)
 # full battery
 # ---------------------------------------------------------------------------
 
-def _config_windows(config: RunConfig, st: Stack):
-    """(phi, psi) Windows from csv: paths in the config, or None for defaults.
+def _read_config_windows(config: RunConfig) -> dict:
+    """{'phi': values or None, 'psi': ...} of the csv: windows on the main grid.
+
+    Read before any check runs, so a missing file or a CSV from another
+    grid, in another row order or holding non-finite values is rejected
+    (ConfigError) at once.
+    """
+    from .report import parse_field_csv, read_csv_input
+    grid = build_base_grid(config.alpha, config.d, config.n, config.m,
+                           config.cart_extent or None, config.radial_extent or None)
+    return {key: parse_field_csv(grid, read_csv_input(sel))
+            if sel.startswith("csv:") else None
+            for key, sel in (("phi", config.window_phi), ("psi", config.window_psi))}
+
+
+def _config_windows(values: dict, st: Stack):
+    """(phi, psi) Windows from csv: window values, or None for defaults.
 
     CSV windows carry no analytic frequency profile, so admissibility
     integrals go through the interpolated transform; a window whose scale
     integral is not constant in frequency fails the spread checks.
     """
-    if config.window_phi == "default" and config.window_psi == "default":
+    if values["phi"] is None and values["psi"] is None:
         return None
-    from pathlib import Path
-    from .report import parse_field_csv
     from .wavelets import Window, default_windows
-    d_phi, d_psi = default_windows(st.plan)
-
-    def load(selector, fallback):
-        if selector == "default":
-            return fallback
-        if not selector.startswith("csv:"):
-            raise ValueError(
-                f"window must be 'default' or 'csv:<path>', got {selector!r}")
-        vals = parse_field_csv(st.grid, Path(selector[4:]).read_text())
-        return Window(field=Field(st.grid, vals), freq_profile=None, name=selector)
-
-    return load(config.window_phi, d_phi), load(config.window_psi, d_psi)
+    windows = dict(zip(("phi", "psi"), default_windows(st.plan)))
+    for key, vals in values.items():
+        if vals is not None:
+            windows[key] = Window(field=Field(st.grid, vals), freq_profile=None,
+                                  name=f"csv_{key}")
+    return windows["phi"], windows["psi"]
 
 
 def run_verify(config: RunConfig) -> list[CheckRow]:
     """Run every check; row order is fixed by declaration order."""
     tol = tolerances(config)
+    window_values = _read_config_windows(config)
     rows: list[CheckRow] = []
     alphas = config.alpha_list()
     rng = np.random.default_rng(config.seed)
@@ -769,7 +777,7 @@ def run_verify(config: RunConfig) -> list[CheckRow]:
     st_main = build_stack(config.alpha, config.d, config.n, config.m, config.a_min,
                           config.a_max, config.scales, config.theta_count,
                           config.cart_extent, config.radial_extent)
-    rows += wavelet_checks(st_main, rng, tol, windows=_config_windows(config, st_main))
+    rows += wavelet_checks(st_main, rng, tol, windows=_config_windows(window_values, st_main))
     for alpha in alphas:
         st_op = build_stack(alpha, config.d, config.op_n, config.op_m, config.a_min,
                             config.a_max, config.op_scales, config.theta_count)

@@ -117,49 +117,60 @@ def _cart_eval_matrix(grid: BaseGrid, pts: np.ndarray, order: int = 10) -> np.nd
     """(len(pts), n) Lagrange evaluation rows on one Cartesian axis.
 
     Clipped (non-circular) stencils with zero extension beyond the box:
-    used for continuum-function evaluation such as F(phi)(a xi).  Axes
-    with fewer than ``order`` points use all of them.
+    used for continuum-function evaluation such as F(phi)(a xi).  A point
+    at lattice position t = (p - x_0) / h in [-0.5, n - 0.5] gets the
+    ``order`` nodes lo .. lo + order - 1 nearest to it (clipped to the
+    axis); rows of points outside that range are zero.  Axes with fewer
+    than ``order`` points use all of them.  All stencils are built at
+    once: the weight of node a is the product over b != a of
+    (t - idx_b) / (a - b), taken in increasing b.  Non-finite points
+    raise ValueError.
     """
     n = grid.cart_points
     order = min(order, n)
-    h = grid.cart_step
-    x0 = grid.cart_axis[0]
     pts = np.asarray(pts, dtype=float).ravel()
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("interpolation points must be finite")
+    t = (pts - grid.cart_axis[0]) / grid.cart_step
+    rows = np.flatnonzero((t >= -0.5) & (t <= n - 0.5))
+    t = t[rows]
+    lo = np.clip(np.floor(t).astype(np.int64) - order // 2 + 1, 0, n - order)
+    idx = lo[:, None] + np.arange(order)                    # [rows, order]
+    w = np.ones(idx.shape)
+    for b in range(order):
+        den = np.arange(order) - b
+        den[b] = 1
+        f = (t - idx[:, b])[:, None] / den
+        f[:, b] = 1.0
+        w *= f
     A = np.zeros((len(pts), n))
-    for k, p in enumerate(pts):
-        t = (p - x0) / h
-        if t < -0.5 or t > n - 0.5:
-            continue
-        j0 = int(np.floor(t))
-        lo = max(0, min(j0 - order // 2 + 1, n - order))
-        idx = np.arange(lo, lo + order)
-        w = np.ones(order)
-        for a_ in range(order):
-            for b_ in range(order):
-                if a_ != b_:
-                    w[a_] *= (t - idx[b_]) / (idx[a_] - idx[b_])
-        A[k, idx] = w
+    A[rows[:, None], idx] = w
     return A
 
 
 def eval_freq_data(window: Window, plan: TransformPlan, pts: np.ndarray) -> np.ndarray:
-    """F(window)(pts) for arbitrary points: profile if present, else interpolation."""
+    """F(window)(pts) for arbitrary points (..., d+1): profile if present, else interpolation.
+
+    Without a profile the window's grid transform is interpolated: Lagrange
+    rows (``_cart_eval_matrix``) on each Cartesian axis, barycentric rows on
+    the radial axis.  The first Cartesian axis is one real GEMM of the rows
+    against the (re, im) pairs of the transform; later axes and the radial
+    axis contract per point.
+    """
     if window.freq_profile is not None:
         return np.asarray(window.freq_profile(pts), dtype=np.complex128)
     g = plan.grid
-    Fw = forward(plan, window.field).values
+    n, m = g.cart_points, g.radial_points
+    Fw = np.ascontiguousarray(forward(plan, window.field).values)
     pts = np.asarray(pts, dtype=float)
     flat = pts.reshape(-1, g.d + 1)
     Rr = radial_interp_matrix(g, flat[:, g.d])              # [pts, m]
-    tmp = Fw.reshape((g.cart_points,) * g.d + (g.radial_points,))
-    # contract Cartesian axes one by one with per-point rows
-    cur = tmp
-    for ax in range(g.d):
-        A = _cart_eval_matrix(g, flat[:, ax])               # [pts, n]
-        if ax == 0:
-            cur = np.einsum("pj,j...->p...", A, cur)
-        else:
-            cur = np.einsum("pj,pj...->p...", A, cur)
+    A = _cart_eval_matrix(g, flat[:, 0])                    # [pts, n]
+    cur = (A @ Fw.reshape(n, -1).view(np.float64)).view(np.complex128)
+    cur = cur.reshape((len(flat),) + (n,) * (g.d - 1) + (m,))
+    for ax in range(1, g.d):
+        A = _cart_eval_matrix(g, flat[:, ax])
+        cur = np.einsum("pj,pj...->p...", A, cur)
     vals = np.einsum("pr,pr->p", Rr, cur)
     return vals.reshape(pts.shape[:-1])
 

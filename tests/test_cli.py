@@ -73,7 +73,6 @@ def test_verify_small_passes_and_is_deterministic(tmp_path):
     assert len(rows) > 50
 
 
-@pytest.mark.slow
 def test_verify_flags_non_admissible_window(tmp_path):
     # a plain Gaussian window has nonzero transform at zero frequency: the
     # truncated scale integral depends on the sample frequency, the spread
@@ -108,3 +107,44 @@ def test_localize_with_csv_symbol(tmp_path):
                  "--set", f"out_dir={out}"])
     assert code == 0
     assert (out / "operator.csv").exists()
+
+
+@pytest.mark.parametrize("defect", ["shuffled", "nan", "other_grid", "missing"])
+def test_verify_rejects_bad_window_csv(tmp_path, capsys, defect):
+    # a window CSV must exist and hold finite values at grid.nodes(), in
+    # that order; anything else is an input error (exit 2) before any check runs
+    from weinstein.grids import build_base_grid
+    from weinstein.probes import gaussian
+    from weinstein.report import field_to_csv
+    g = build_base_grid(0.5, 1, 16 if defect != "other_grid" else 18, 16)
+    lines = field_to_csv(g, gaussian(g).values).splitlines()
+    if defect == "shuffled":
+        lines[1], lines[2] = lines[2], lines[1]
+    if defect == "nan":
+        cells = lines[5].split(",")
+        lines[5] = ",".join(cells[:-2] + ["nan", cells[-1]])
+    if defect == "other_grid":
+        lines = lines[:1 + 16 * 16]
+    wfile = tmp_path / "window.csv"
+    if defect != "missing":
+        wfile.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(["verify", *TINY, "--set", "alphas=0.5",
+                 "--set", f"window_phi=csv:{wfile}", "--set", f"out_dir={out}"])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+def test_localize_rejects_symbol_csv_on_other_scales(tmp_path, capsys):
+    import numpy as np
+    from weinstein.grids import build_base_grid, build_scale_grid
+    from weinstein.report import scale_field_to_csv
+    g = build_base_grid(0.5, 1, 12, 12)
+    sg = build_scale_grid(g, 1 / 8, 16.0, 8)        # the config's a_min is 1/16
+    sfile = tmp_path / "symbol.csv"
+    sfile.write_text(scale_field_to_csv(sg, np.ones(sg.shape)))
+    code = main(["localize", *TINY, "--set", f"symbol=csv:{sfile}",
+                 "--set", f"out_dir={tmp_path / 'loc'}"])
+    assert code == 2
+    assert "scale CSV row 1" in capsys.readouterr().err

@@ -207,6 +207,31 @@ def test_bound_dominance_all_classes(st):
             assert bound >= 0
 
 
+@pytest.mark.parametrize("d, n, m", [(1, 32, 32), (2, 24, 20)])
+def test_probe_matrix_columns_are_successive_random_fields(d, n, m):
+    # the batched probes are the fields random_field draws one at a time
+    # from the same stream, bit for bit (60 probes at d=2 exceed numpy's
+    # 256 KiB threshold for reusing temporaries in place)
+    g = build_base_grid(0.5, d, n, m)
+    P = loc.probe_matrix(g, samples=60, seed=9)
+    rng = np.random.default_rng(9)
+    for j in range(60):
+        assert np.array_equal(P[:, j], random_field(g, rng).values.reshape(-1))
+    # and each is the documented Gaussian-class probe, drawn in this order
+    rng = np.random.default_rng(9)
+    sig = rng.uniform(0.7, 1.0)
+    b, k = rng.uniform(-0.8, 0.8, size=d), rng.uniform(-1.0, 1.0, size=d)
+    c = rng.normal(size=(d, 3)) * np.array([1.0, 0.5, 0.15])
+    q = rng.uniform(-0.3, 0.3)
+    u, r = g.nodes()[:, :d], g.nodes()[:, d]
+    ref = (1.0 + q * r**2) * np.exp(-r**2 / (2 * sig**2))
+    for ax in range(d):
+        v = u[:, ax]
+        ref = ref * (c[ax, 0] + 1.0 + c[ax, 1] * v + c[ax, 2] * v**2) * np.exp(
+            1j * k[ax] * v - (v - b[ax]) ** 2 / (2 * sig**2))
+    assert np.max(np.abs(P[:, 0] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_theoretical_bound_structure(st):
     g, plan, kern, sg, pair = st
     sym = loc.symbol_bump(sg)

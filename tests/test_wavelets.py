@@ -285,3 +285,94 @@ def test_d2_wavelet_chain_smoke(st2):
         weak = loc.weak_form(pr, sym, f, h)
         strong = inner_product(loc.apply_operator(L, f), h)
         assert abs(weak - strong) <= 1e-12 * abs(weak)
+
+
+def _cart_eval_matrix_loop(grid, pts, order=10):
+    # reference: one stencil per point, the Lagrange product over b != a
+    n = grid.cart_points
+    order = min(order, n)
+    h = grid.cart_step
+    x0 = grid.cart_axis[0]
+    pts = np.asarray(pts, dtype=float).ravel()
+    A = np.zeros((len(pts), n))
+    for k, p in enumerate(pts):
+        t = (p - x0) / h
+        if t < -0.5 or t > n - 0.5:
+            continue
+        j0 = int(np.floor(t))
+        lo = max(0, min(j0 - order // 2 + 1, n - order))
+        idx = np.arange(lo, lo + order)
+        w = np.ones(order)
+        for a_ in range(order):
+            for b_ in range(order):
+                if a_ != b_:
+                    w[a_] *= (t - idx[b_]) / (idx[a_] - idx[b_])
+        A[k, idx] = w
+    return A
+
+
+def _stencil_points(g, rng):
+    # inside (nodes, scaled nodes, random), on the edges of [-0.5, n - 0.5]
+    # in lattice units, and outside the box
+    n, h, x0 = g.cart_points, g.cart_step, g.cart_axis[0]
+    edge = x0 + h * np.array([-0.5, n - 0.5, -0.5 - 1e-9, n - 0.5 + 1e-9,
+                              -0.5 + 1e-9, n - 0.5 - 1e-9])
+    scaled = np.multiply.outer(np.geomspace(1 / 16, 16.0, 20), g.cart_axis).ravel()
+    return np.concatenate([g.cart_axis, scaled, edge, rng.uniform(-3, 3, 300) * g.cart_extent])
+
+
+@pytest.mark.parametrize("n", [8, 11, 32])
+def test_cart_eval_matrix_matches_pointwise_stencils(n):
+    from weinstein.wavelets import _cart_eval_matrix
+    g = build_base_grid(0.5, 1, n, 8)
+    pts = _stencil_points(g, np.random.default_rng(n))
+    A = _cart_eval_matrix(g, pts)
+    assert np.array_equal(A, _cart_eval_matrix_loop(g, pts))
+    t = (pts - g.cart_axis[0]) / g.cart_step
+    outside = (t < -0.5) | (t > n - 0.5)
+    assert outside.sum() > 100 and (~outside).sum() > 100
+    assert not A[outside].any()
+    # rows reproduce every polynomial of degree < stencil length
+    order = min(10, n)
+    s = g.cart_axis / g.cart_extent
+    for deg in range(order):
+        exact = (pts[~outside] / g.cart_extent) ** deg
+        assert np.max(np.abs(A[~outside] @ s**deg - exact)) <= 1e-12
+
+
+def test_interpolation_rejects_non_finite_points(st):
+    # a NaN must not turn into a zero row: on either axis, the interpolated
+    # window data refuses it
+    from weinstein.wavelets import _cart_eval_matrix
+    g, plan, kern, sg, pair = st
+    w = Window(field=pair.phi.field, freq_profile=None)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            _cart_eval_matrix(g, np.array([0.0, bad]))
+        for ax in range(g.d + 1):
+            pts = g.nodes()[:3].copy()
+            pts[1, ax] = bad
+            with pytest.raises(ValueError, match="finite"):
+                eval_freq_data(w, plan, pts)
+
+
+@pytest.mark.parametrize("d, n, m", [(1, 32, 24), (1, 11, 12), (2, 10, 8)])
+def test_interpolated_freq_data_matches_pointwise_route(d, n, m):
+    # a window without a profile, at scaled points off the nodes: the BLAS
+    # contraction agrees with per-point stencils and per-axis contractions
+    from weinstein.translation import radial_interp_matrix
+    g = build_base_grid(0.5, d, n, m)
+    plan = build_plan(g)
+    w1, _ = default_windows(plan)
+    x1 = g.nodes()[:, 0].reshape(g.shape)
+    w = Window(field=Field(g, w1.field.values * np.exp(0.7j * x1)), freq_profile=None)
+    pts = np.stack([g.nodes() * a + 0.013 for a in (0.07, 0.9, 3.3, 11.0)])
+    got = eval_freq_data(w, plan, pts)
+    flat = pts.reshape(-1, d + 1)
+    cur = forward(plan, w.field).values.reshape((n,) * d + (m,))
+    cur = np.einsum("pj,j...->p...", _cart_eval_matrix_loop(g, flat[:, 0]), cur)
+    for ax in range(1, d):
+        cur = np.einsum("pj,pj...->p...", _cart_eval_matrix_loop(g, flat[:, ax]), cur)
+    ref = np.einsum("pr,pr->p", radial_interp_matrix(g, flat[:, d]), cur).reshape(got.shape)
+    assert got.shape == pts.shape[:-1]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
