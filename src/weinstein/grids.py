@@ -172,6 +172,8 @@ class Field:
         v = np.asarray(self.values)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("field contains non-finite values")
         self.values = v.astype(np.complex128, copy=False)
 
     def __add__(self, other):

@@ -185,8 +185,10 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool) -> n
 
     syn_hat = spectrum(pair.space_data(synthesis))
     ana_hat = spectrum(np.conj(pair.space_data(analysis)))
-    # Ga^[(j, x_r), l, z_r] for every scale; Gs^ is contracted per row k below
-    Ga = np.einsum("xzr,ljr->jxlz", K, ana_hat, optimize=True).reshape(Jm, nc, m)
+    # Ga^[(j, x_r), l, z_r] for every scale, contiguous so that each row's
+    # product with D^ reads it in order; Gs^ is contracted per row k below
+    Ga = np.ascontiguousarray(np.einsum("xzr,ljr->jxlz", K, ana_hat,
+                                        optimize=True)).reshape(Jm, nc, m)
     c = sg.scale_weights * sg.scales ** (2.0 * pair.gamma - sg.measure_power)
     D = c[:, None, None] * g.node_weights * symbol.values
     # D^[(j, x_r), p], C-ordered so that a row's product with Ga reshapes as a view

@@ -90,17 +90,18 @@ def radial_interp_matrix(grid: BaseGrid, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float).ravel()
     if not np.all(np.isfinite(pts)):
         raise ValueError("interpolation points must be finite")
-    A = np.zeros((len(pts), len(r)))
     inside = pts <= grid.radial_extent + 1e-14
-    p = pts[inside]
-    diff = p[:, None] - r[None, :]
-    exact = np.abs(diff) < 1e-14
-    diff[exact] = 1.0
-    C = bw[None, :] / diff
-    rows = C / C.sum(axis=1, keepdims=True)
-    hit = exact.any(axis=1)
-    rows[hit] = 0.0
+    # one (points, m) buffer turns from differences into rows in place
+    rows = pts[inside, None] - r[None, :]
+    exact = (rows > -1e-14) & (rows < 1e-14)
     rows[exact] = 1.0
+    np.divide(bw[None, :], rows, out=rows)
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[exact.any(axis=1)] = 0.0
+    rows[exact] = 1.0
+    if inside.all():
+        return rows
+    A = np.zeros((len(pts), len(r)))
     A[inside] = rows
     return A
 
@@ -114,13 +115,22 @@ def _bary_cache(grid: BaseGrid) -> np.ndarray:
     return w
 
 
+_CHUNK_ELEMS = 1 << 16     # theta x pairs x m entries per interpolation block (512 kB)
+
+
 @dataclass
 class TranslationKernel:
     """Discrete realization of the radial (Bessel) translation.
 
     tensor[i, j, k]: weight of the radial sample r_k in (tau at radial
-    offset r_i of f)(radial node r_j).  Symmetric in (i, j).  Cartesian
-    shifts live outside this tensor as exact lattice index arithmetic.
+    offset r_i of f)(radial node r_j).  Cartesian shifts live outside this
+    tensor as exact lattice index arithmetic.
+
+    s(r_i, r_j, theta)^2 = r_i^2 + r_j^2 + 2 r_i r_j cos(theta) is
+    symmetric in (i, j) bit for bit (doubling is exact), so only the pairs
+    i <= j are evaluated, in blocks that take every theta node at once;
+    the lower triangle is their mirror.  Each block is summed over theta
+    in node order, as a running sum over the nodes would be.
     """
 
     grid: BaseGrid
@@ -133,22 +143,25 @@ class TranslationKernel:
             raise ValueError("theta rule and grid have different alpha")
         r = self.grid.radial_nodes
         m = len(r)
-        X, Y = np.meshgrid(r, r, indexing="ij")
-        K = np.zeros((m, m, m))
-        for th, w in zip(self.theta.nodes, self.theta.weights):
-            s = np.sqrt(np.maximum(X**2 + Y**2 + 2.0 * X * Y * np.cos(th), 0.0))
-            K += w * radial_interp_matrix(self.grid, s.ravel()).reshape(m, m, m)
+        iu, ju = np.triu_indices(m)
+        step = max(1, _CHUNK_ELEMS // (len(self.theta.nodes) * m))
+        K = np.empty((m, m, m))
+        for lo in range(0, len(iu), step):
+            i, j = iu[lo:lo + step], ju[lo:lo + step]
+            K[i, j] = K[j, i] = self._theta_average(r[i], r[j])
         self.tensor = K
 
     def radial_rows(self, rho: float) -> np.ndarray:
         """(m, m) matrix of the radial translation at arbitrary offset rho >= 0."""
-        r = self.grid.radial_nodes
-        Y = r[None, :]
-        out = np.zeros((len(r), len(r)))
-        for th, w in zip(self.theta.nodes, self.theta.weights):
-            s = np.sqrt(np.maximum(rho**2 + Y**2 + 2.0 * rho * Y * np.cos(th), 0.0))
-            out += w * radial_interp_matrix(self.grid, s.ravel())
-        return out
+        return self._theta_average(rho, self.grid.radial_nodes)
+
+    def _theta_average(self, x, y) -> np.ndarray:
+        """(len(y), m): sum over theta of w_theta times the rows at s(x, y, theta)."""
+        c = np.cos(self.theta.nodes)[:, None]
+        s = np.sqrt(np.maximum(x**2 + y**2 + 2.0 * x * y * c, 0.0))
+        A = radial_interp_matrix(self.grid, s).reshape(s.shape + (-1,))
+        A *= self.theta.weights[:, None, None]
+        return np.add.reduce(A, axis=0)
 
 
 def circular_shift_matrix(grid: BaseGrid, shift: float) -> np.ndarray:

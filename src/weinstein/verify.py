@@ -767,16 +767,22 @@ def run_verify(config: RunConfig) -> list[CheckRow]:
     rng = np.random.default_rng(config.seed)
     for alpha in alphas:
         rows += kernel_checks(alpha, config.d, rng, tol)
+
+    def main_stack(alpha):
+        return build_stack(alpha, config.d, config.n, config.m, config.a_min,
+                           config.a_max, config.scales, config.theta_count,
+                           config.cart_extent, config.radial_extent)
+
+    st_main = None
     for alpha in alphas:
-        st = build_stack(alpha, config.d, config.n, config.m, config.a_min,
-                         config.a_max, config.scales, config.theta_count,
-                         config.cart_extent, config.radial_extent)
+        st = main_stack(alpha)
         rows += transform_checks(st, rng, tol)
         rows += translation_checks(st, rng, tol)
         rows += convolution_checks(st, rng, tol)
-    st_main = build_stack(config.alpha, config.d, config.n, config.m, config.a_min,
-                          config.a_max, config.scales, config.theta_count,
-                          config.cart_extent, config.radial_extent)
+        if alpha == config.alpha:
+            st_main = st
+    if st_main is None:
+        st_main = main_stack(config.alpha)
     rows += wavelet_checks(st_main, rng, tol, windows=_config_windows(window_values, st_main))
     for alpha in alphas:
         st_op = build_stack(alpha, config.d, config.op_n, config.op_m, config.a_min,

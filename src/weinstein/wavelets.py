@@ -35,7 +35,7 @@ import numpy as np
 
 from .grids import (BaseGrid, Field, ScaleField, ScaleGrid, inner_product,
                     reflect, scale_inner_product)
-from .translation import (TranslationKernel, cart_fft, convolve_spectral, lattice_shift,
+from .translation import (TranslationKernel, cart_fft, lattice_shift,
                           radial_interp_matrix)
 from .transform import TransformPlan, forward, inverse
 
@@ -153,9 +153,10 @@ def eval_freq_data(window: Window, plan: TransformPlan, pts: np.ndarray) -> np.n
 
     Without a profile the window's grid transform is interpolated: Lagrange
     rows (``_cart_eval_matrix``) on each Cartesian axis, barycentric rows on
-    the radial axis.  The first Cartesian axis is one real GEMM of the rows
-    against the (re, im) pairs of the transform; later axes and the radial
-    axis contract per point.
+    the radial axis, each built once per distinct coordinate value and
+    gathered (scaled nodes hold only n or m of them).  The first Cartesian
+    axis is one real GEMM of the rows against the (re, im) pairs of the
+    transform; later axes and the radial axis contract per point.
     """
     if window.freq_profile is not None:
         return np.asarray(window.freq_profile(pts), dtype=np.complex128)
@@ -164,13 +165,18 @@ def eval_freq_data(window: Window, plan: TransformPlan, pts: np.ndarray) -> np.n
     Fw = np.ascontiguousarray(forward(plan, window.field).values)
     pts = np.asarray(pts, dtype=float)
     flat = pts.reshape(-1, g.d + 1)
-    Rr = radial_interp_matrix(g, flat[:, g.d])              # [pts, m]
-    A = _cart_eval_matrix(g, flat[:, 0])                    # [pts, n]
+
+    def rows(build, coord):
+        # a row depends on its own point only
+        distinct, at = np.unique(coord, return_inverse=True)
+        return build(g, distinct)[at]
+
+    Rr = rows(radial_interp_matrix, flat[:, g.d])           # [pts, m]
+    A = rows(_cart_eval_matrix, flat[:, 0])                 # [pts, n]
     cur = (A @ Fw.reshape(n, -1).view(np.float64)).view(np.complex128)
     cur = cur.reshape((len(flat),) + (n,) * (g.d - 1) + (m,))
     for ax in range(1, g.d):
-        A = _cart_eval_matrix(g, flat[:, ax])
-        cur = np.einsum("pj,pj...->p...", A, cur)
+        cur = np.einsum("pj,pj...->p...", rows(_cart_eval_matrix, flat[:, ax]), cur)
     vals = np.einsum("pr,pr->p", Rr, cur)
     return vals.reshape(pts.shape[:-1])
 
@@ -380,13 +386,15 @@ def cwt_convolution_form(pair: WaveletPair, f: Field, which: str = "phi") -> Sca
     g = pair.plan.grid
     if f.grid is not g:
         raise ValueError("field not on the pair's grid")
-    fr = reflect(f)
+    # f_reflected * conj(phi_a) = F^{-1}(F(f_reflected) F(conj(phi_a))), the
+    # transform of f_reflected shared by every scale
+    fr_hat = forward(pair.plan, reflect(f)).values
     sdata = pair.space_data(which)
     out = np.empty(pair.scale_grid.shape, dtype=np.complex128)
     gam = pair.gamma
     for j, a in enumerate(pair.scale_grid.scales):
-        wa_field = Field(g, np.conj(sdata[j]))
-        out[j] = a**gam * convolve_spectral(pair.plan, fr, wa_field).values
+        wa_hat = forward(pair.plan, Field(g, np.conj(sdata[j]))).values
+        out[j] = a**gam * inverse(pair.plan, Field(g, fr_hat * wa_hat)).values
     return ScaleField(pair.scale_grid, out)
 
 

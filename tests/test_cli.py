@@ -73,6 +73,18 @@ def test_verify_small_passes_and_is_deterministic(tmp_path):
     assert len(rows) > 50
 
 
+def test_verify_main_alpha_outside_sweep(tmp_path):
+    # alpha is not among alphas: the wavelet checks run on a main-grid stack
+    # of their own at alpha, the sweep checks at alphas, and the run passes
+    out = tmp_path / "out"
+    code = main(["verify", "--set", "op_n=12", "--set", "op_m=12", "--set", "op_scales=8",
+                 "--set", "alphas=0.5", "--set", "alpha=1.5", "--set", f"out_dir={out}"])
+    assert code == 0
+    ids = [row[0] for row in csv.reader(io.StringIO((out / "report.csv").read_text()))]
+    assert "translate.mass.alpha0.5" in ids and "wav.inversion.alpha1.5" in ids
+    assert not any(i.startswith("wav.") and i.endswith("alpha0.5") for i in ids)
+
+
 def test_verify_flags_non_admissible_window(tmp_path):
     # a plain Gaussian window has nonzero transform at zero frequency: the
     # truncated scale integral depends on the sample frequency, the spread

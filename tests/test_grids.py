@@ -162,3 +162,12 @@ def test_scale_field_norms():
 
 def test_self_dual_extent_value():
     assert self_dual_extent(64) == pytest.approx(np.sqrt(32 * np.pi), rel=1e-15)
+
+
+def test_field_rejects_non_finite_values():
+    g = make_grid(n=8, m=8)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)):
+        vals = np.ones(g.shape, dtype=complex)
+        vals[3, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Field(g, vals)

@@ -9,7 +9,8 @@ from weinstein.probes import gaussian, random_even_field, random_field
 from weinstein.transform import build_plan, forward
 from weinstein.translation import (ThetaRule, TranslationKernel,
                                    check_translate_fourier, convolve,
-                                   convolve_spectral, lattice_shift, translate)
+                                   convolve_spectral, lattice_shift,
+                                   radial_interp_matrix, translate)
 
 
 def stack(alpha=0.5, n=48, m=48):
@@ -75,6 +76,82 @@ def test_translate_symmetry_on_even_field():
         iy = (g.cart_flat_index(y[:1]), int(np.argmin(np.abs(g.radial_nodes - y[1]))))
         ix = (g.cart_flat_index(x[:1]), int(np.argmin(np.abs(g.radial_nodes - x[1]))))
         assert tx[iy] == pytest.approx(ty[ix], abs=1e-6)
+
+
+def tensor_loop(g, rule):
+    # reference: one barycentric evaluation per theta node, summed in node order
+    r = g.radial_nodes
+    m = len(r)
+    X, Y = np.meshgrid(r, r, indexing="ij")
+    K = np.zeros((m, m, m))
+    for th, w in zip(rule.nodes, rule.weights):
+        s = np.sqrt(np.maximum(X**2 + Y**2 + 2.0 * X * Y * np.cos(th), 0.0))
+        K += w * radial_interp_matrix(g, s.ravel()).reshape(m, m, m)
+    return K
+
+
+def radial_rows_loop(g, rule, rho):
+    Y = g.radial_nodes[None, :]
+    out = np.zeros((g.radial_points, g.radial_points))
+    for th, w in zip(rule.nodes, rule.weights):
+        s = np.sqrt(np.maximum(rho**2 + Y**2 + 2.0 * rho * Y * np.cos(th), 0.0))
+        out += w * radial_interp_matrix(g, s.ravel())
+    return out
+
+
+def radial_interp_matrix_ref(g, pts):
+    # reference: separate difference, weight and row arrays, one output matrix
+    from weinstein.translation import _bary_cache
+    r = g.radial_nodes
+    bw = _bary_cache(g)
+    pts = np.asarray(pts, dtype=float).ravel()
+    A = np.zeros((len(pts), len(r)))
+    inside = pts <= g.radial_extent + 1e-14
+    diff = pts[inside][:, None] - r[None, :]
+    exact = np.abs(diff) < 1e-14
+    diff[exact] = 1.0
+    C = bw[None, :] / diff
+    rows = C / C.sum(axis=1, keepdims=True)
+    rows[exact.any(axis=1)] = 0.0
+    rows[exact] = 1.0
+    A[inside] = rows
+    return A
+
+
+def test_radial_interp_matrix_matches_reference():
+    g = build_base_grid(0.5, 1, 8, 20)
+    R = g.radial_extent
+    rng = np.random.default_rng(6)
+    # node hits, hits within the 1e-14 tolerance, off-node points and the ends
+    inside = np.concatenate([g.radial_nodes, g.radial_nodes[:4] + 5e-15,
+                             rng.uniform(0.0, R, 50), [0.0, R]])
+    for pts in (inside, np.concatenate([inside, [1.01 * R, 3.0 * R]]), [2.0 * R]):
+        assert np.array_equal(radial_interp_matrix(g, pts), radial_interp_matrix_ref(g, pts))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
+@pytest.mark.parametrize("m, count", [(24, 64), (17, 33)])
+def test_tensor_matches_per_theta_loop(alpha, m, count):
+    # the symmetric all-theta build is bit-identical to the per-node sum
+    g = build_base_grid(alpha, 1, 8, m)
+    rule = ThetaRule(alpha, count)
+    K = TranslationKernel(g, rule).tensor
+    assert np.array_equal(K, tensor_loop(g, rule))
+    assert np.array_equal(K, K.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_radial_rows_match_per_theta_loop(alpha):
+    g = build_base_grid(alpha, 1, 8, 20)
+    kern = TranslationKernel(g, ThetaRule(alpha))
+    R = g.radial_extent
+    for rho in (0.0, g.radial_nodes[7], 0.37 * R, 1.01 * R, 2.5 * R):
+        rows = kern.radial_rows(rho)
+        assert np.array_equal(rows, radial_rows_loop(g, kern.theta, rho))
+    # rho = 0: every point is a hit on its own node, so the rows are diagonal
+    assert np.array_equal(kern.radial_rows(0.0) != 0, np.eye(g.radial_points, dtype=bool))
+    # beyond 2R every s exceeds R: zero extension gives zero rows
+    assert not np.any(kern.radial_rows(2.5 * R))
 
 
 def safe_nodes(g):

@@ -376,3 +376,39 @@ def test_interpolated_freq_data_matches_pointwise_route(d, n, m):
     ref = np.einsum("pr,pr->p", radial_interp_matrix(g, flat[:, d]), cur).reshape(got.shape)
     assert got.shape == pts.shape[:-1]
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d, n, m", [(1, 32, 24), (2, 10, 8)])
+def test_freq_data_gathered_rows_match_ungathered(d, n, m):
+    # rows built once per distinct coordinate value and gathered give the
+    # same values, bit for bit, as one row per point
+    from weinstein.translation import radial_interp_matrix
+    from weinstein.wavelets import _cart_eval_matrix
+    g = build_base_grid(0.5, d, n, m)
+    plan = build_plan(g)
+    w1, _ = default_windows(plan)
+    x1 = g.nodes()[:, 0].reshape(g.shape)
+    w = Window(field=Field(g, w1.field.values * np.exp(0.7j * x1)), freq_profile=None)
+    rng = np.random.default_rng(5)
+    pts = np.concatenate([g.nodes() * a for a in (0.3, 2.0)]
+                         + [np.abs(rng.normal(scale=4.0, size=(50, d + 1)))])
+    got = eval_freq_data(w, plan, pts)
+    Fw = np.ascontiguousarray(forward(plan, w.field).values)
+    cur = (_cart_eval_matrix(g, pts[:, 0]) @ Fw.reshape(n, -1).view(np.float64)).view(np.complex128)
+    cur = cur.reshape((len(pts),) + (n,) * (d - 1) + (m,))
+    for ax in range(1, d):
+        cur = np.einsum("pj,pj...->p...", _cart_eval_matrix(g, pts[:, ax]), cur)
+    ref = np.einsum("pr,pr->p", radial_interp_matrix(g, pts[:, d]), cur)
+    assert np.array_equal(got, ref)
+
+
+def test_convolution_form_matches_per_scale_spectral_convolution(st2):
+    # one transform of f_reflected shared by all scales gives, bit for bit,
+    # a^gamma (f_reflected * conj(phi_a)) from convolve_spectral per scale
+    from weinstein.grids import reflect
+    g, plan, kern, sg, pair = st2
+    f = random_even_field(g, np.random.default_rng(8))
+    sdata = pair.space_data("phi")
+    ref = np.stack([a**pair.gamma * convolve_spectral(plan, reflect(f), Field(g, np.conj(sdata[j]))).values
+                    for j, a in enumerate(sg.scales)])
+    assert np.array_equal(cwt_convolution_form(pair, f, "phi").values, ref)
