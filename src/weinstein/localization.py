@@ -15,6 +15,22 @@ shift on the Cartesian lattice, so R is assembled in the lattice spectrum,
 where the sum over the Cartesian node x_c becomes one product per pair of
 frequencies (see ``_assemble_matrix``).
 
+Two exact structures of the inputs are used.  Each is decided from the
+inputs themselves, never from a tolerance test on the matrix:
+
+* real operators: a symbol with zero imaginary part and two windows whose
+  frequency data are conjugate-symmetric under the lattice reflection
+  x_c -> -x_c, bit for bit, give a real kernel R.  It is assembled from
+  half of the lattice spectrum and stored as a float64 matrix, decomposed
+  by a real SVD and applied to complex data through one real GEMM;
+* multipliers: a symbol exactly constant along x_c (a function of the
+  scale and the radial node only, as ``indicator`` and ``scale_only``)
+  gives a block-circulant R over the Cartesian lattice, the discrete form
+  of the paper's multiplier example.  Its singular values are those of
+  the n^d diagonal m x m blocks of its unitary lattice DFT.
+
+Every other input (a complex symbol or window) takes the complex route.
+
 Measured operator norms on the weighted sequence spaces: p = 1 and
 p = inf are the exact induced norms (weighted column and row sums); p = 2
 is the top singular value of the similarity-transformed matrix, whose
@@ -127,18 +143,22 @@ class LocalizationOperator:
     """Dense kernel-matrix realization of the localization operator.
 
     ``matrix[y, z]`` holds R(y, z); application integrates against
-    mu_alpha in z: (L f)(y) = sum_z R(y, z) w_z f(z).  The matrix is not
-    changed after construction, so its singular values are computed once.
+    mu_alpha in z: (L f)(y) = sum_z R(y, z) w_z f(z).  The matrix is the
+    assembly of (pair, symbol): float64 for a real operator, complex
+    otherwise, and read-only, so its singular values are computed once.
+    Both structure decisions are taken from the inputs at assembly.
     """
 
     pair: WaveletPair
     symbol: SymbolField
-    matrix: np.ndarray = field(repr=False, default=None)
+    matrix: np.ndarray = field(init=False, repr=False)
     swapped: bool = False
+    x_independent: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.matrix is None:
-            self.matrix = _assemble_matrix(self.pair, self.symbol, self.swapped)
+        self.matrix = _assemble_matrix(self.pair, self.symbol, self.swapped)
+        self.matrix.flags.writeable = False
+        self.x_independent = _x_independent(self.symbol)
 
     @property
     def grid(self):
@@ -146,10 +166,59 @@ class LocalizationOperator:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """Decreasing singular values of the measure-symmetrized matrix (read-only)."""
-        sv = np.linalg.svd(_sym_matrix(self), compute_uv=False)
+        """Decreasing singular values of the measure-symmetrized matrix M (read-only).
+
+        If the symbol values are exactly constant along x_c, R(y, z) depends
+        on y_c - z_c only.  The Cartesian weights are uniform, so M is
+        block circulant as well, and the unitary DFT U over the Cartesian
+        index makes U M U^H block diagonal: the profile is the sorted union
+        of the singular values of its n^d diagonal m x m blocks.  Otherwise
+        it is one dense SVD of M, in real arithmetic for a real matrix.
+        """
+        M = _sym_matrix(self)
+        if self.x_independent:
+            sv = -np.sort(-np.linalg.svd(_lattice_blocks(self.grid, M), compute_uv=False),
+                          axis=None)
+        else:
+            sv = np.linalg.svd(M, compute_uv=False)
         sv.flags.writeable = False
         return sv
+
+
+def _real_operator(pair: WaveletPair, symbol: SymbolField) -> bool:
+    """R is real: the symbol is real and both windows are real in space.
+
+    A window is real in space iff its frequency data are conjugate-symmetric
+    under the lattice reflection x_c -> -x_c.  Both tests are exact, on the
+    stored data.
+    """
+    if np.any(symbol.values.imag):
+        return False
+    r = pair.plan.grid.cart_reflect_index()
+    return all(np.array_equal(fd[:, r], fd.conj())
+               for fd in (pair.freq_data("phi"), pair.freq_data("psi")))
+
+
+def _x_independent(symbol: SymbolField) -> bool:
+    """The symbol values are exactly constant along the Cartesian node x_c."""
+    v = symbol.values
+    return bool(np.all(v == v[:, :1]))
+
+
+def _lattice_blocks(g, M: np.ndarray) -> np.ndarray:
+    """(n^d, m, m) diagonal blocks of U M U^H, U the unitary DFT over the Cartesian index.
+
+    Block k = n^{-d} sum_{y_c, z_c} e^{-2 pi i <k, y_c - z_c>/n} M[y_c, z_c]
+    is the DFT over the lattice offset c = y_c - z_c of the mean of the
+    m x m blocks M[z_c + c, z_c].
+    """
+    n, d = g.cart_points, g.d
+    nc, m = g.shape
+    cells = np.indices((n,) * d).reshape(d, nc)
+    # flat index of z_c + c, offsets c down the rows, nodes z_c along the columns
+    shifted = np.ravel_multi_index((cells[:, :, None] + cells[:, None, :]) % n, (n,) * d)
+    T = M.reshape(nc, m, nc, m)[shifted, :, np.arange(nc), :].mean(axis=1)
+    return cart_fft(g, T)
 
 
 def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool) -> np.ndarray:
@@ -166,8 +235,15 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool) -> n
         R^[k, y_r, l, z_r] = sum_{j, x_r} Gs^_j[k, x_r, y_r] D^_j[k + l, x_r] Ga^_j[l, x_r, z_r],
 
     with k + l taken mod n per Cartesian axis.  Each row k is one GEMM over
-    (j, x_r) followed by an inverse DFT over l; a last inverse DFT over k,
-    in place, gives R.  The cost is J n^{2d} m^3, not J (n^d m)^3.
+    (j, x_r) followed by an inverse DFT over l; a last inverse DFT over k
+    gives R.  The cost is J n^{2d} m^3, not J (n^d m)^3.
+
+    If ``_real_operator`` holds (a real symbol, and both windows' frequency
+    data conjugate-symmetric under the lattice reflection, bit for bit),
+    R is real and R^[-k, -l] = conj R^[k, l].  Only the rows k whose last
+    Cartesian component is at most n//2 are then computed, and the last
+    inverse DFT over k is a real one (``irfftn``) that returns a float64
+    matrix.  Otherwise every row is computed and R is complex.
     """
     if symbol.grid is not pair.scale_grid:
         raise ValueError("symbol not on the pair's scale grid")
@@ -194,15 +270,23 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool) -> n
     # D^[(j, x_r), p], C-ordered so that a row's product with Ga reshapes as a view
     D = np.ascontiguousarray(cart_fft(g, D.transpose(1, 0, 2)).reshape(nc, Jm).T)
     cells = np.indices((n,) * d).reshape(d, nc)
-    R = np.empty((nc, m, nc, m), dtype=np.complex128)      # [k, y_r, l, z_r]
-    for k in range(nc):
+    real = _real_operator(pair, symbol)
+    # rows k in C order: the half spectrum k_d <= n//2 of a real R, else all
+    rows = np.flatnonzero(cells[-1] <= n // 2) if real else np.arange(nc)
+    R = np.empty((len(rows), m, nc, m), dtype=np.complex128)     # [k, y_r, z_c, z_r]
+    for i, k in enumerate(rows):
         k_plus_l = np.ravel_multi_index((cells + cells[:, k:k + 1]) % n, (n,) * d)
         # Gs^[y_r, (j, x_r)] = sum_r K[x_r, y_r, r] syn^[k, j, r]
         Gs = (K @ syn_hat[k].T).transpose(1, 2, 0).reshape(m, Jm)
         row = Gs @ (D[:, k_plus_l, None] * Ga).reshape(Jm, nc * m)
-        R[k] = sp_fft.ifftn(row.reshape((m,) + (n,) * d + (m,)), axes=tuple(range(1, d + 1)),
+        R[i] = sp_fft.ifftn(row.reshape((m,) + (n,) * d + (m,)), axes=tuple(range(1, d + 1)),
                             overwrite_x=True).reshape(m, nc, m)
-    R = sp_fft.ifftn(R.reshape((n,) * d + (m, nc, m)), axes=tuple(range(d)), overwrite_x=True)
+    axes = tuple(range(d))
+    if real:
+        R = sp_fft.irfftn(R.reshape((n,) * (d - 1) + (n // 2 + 1, m, nc, m)),
+                          s=(n,) * d, axes=axes, overwrite_x=True)
+    else:
+        R = sp_fft.ifftn(R.reshape((n,) * d + (m, nc, m)), axes=axes, overwrite_x=True)
     return R.reshape(nc * m, nc * m)
 
 
@@ -214,8 +298,16 @@ def apply_operator(L: LocalizationOperator, f: Field) -> Field:
     if f.grid is not L.grid:
         raise ValueError("field not on the operator's grid")
     w = L.grid.node_weights.reshape(-1)
-    out = L.matrix @ (w * f.values.reshape(-1))
+    out = _matmul(L.matrix, w * f.values.reshape(-1))
     return Field(L.grid, out.reshape(L.grid.shape))
+
+
+def _matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X for complex X; a real M takes one real GEMM on the (re, im) view of X."""
+    if np.iscomplexobj(M):
+        return M @ X
+    X = np.ascontiguousarray(X, dtype=np.complex128)
+    return (M @ X.view(np.float64).reshape(len(X), -1)).view(np.complex128).reshape(X.shape)
 
 
 def adjoint(L: LocalizationOperator) -> LocalizationOperator:
@@ -274,7 +366,7 @@ def measured_norm(L: LocalizationOperator, p: float, samples: int = 200,
         return float(L.singular_values[0])
     if probes is None:
         probes = probe_matrix(L.grid, samples, seed)
-    out = L.matrix @ (w[:, None] * probes)
+    out = _matmul(L.matrix, w[:, None] * probes)
     n_out = np.sum(w[:, None] * np.abs(out) ** p, axis=0) ** (1.0 / p)
     n_in = np.sum(w[:, None] * np.abs(probes) ** p, axis=0) ** (1.0 / p)
     ok = n_in > 1e-12

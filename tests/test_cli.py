@@ -160,3 +160,15 @@ def test_localize_rejects_symbol_csv_on_other_scales(tmp_path, capsys):
                  "--set", f"out_dir={tmp_path / 'loc'}"])
     assert code == 2
     assert "scale CSV row 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slack, expect", [("0.01", 1), ("0.05", 0)])
+def test_localize_bound_gate_reads_bound_slack(tmp_path, monkeypatch, slack, expect):
+    # every measured/bound ratio is 1.03: a slack of 1% fails it, 5% passes it
+    from weinstein import localization
+    monkeypatch.setattr(localization, "measured_norm", lambda L, p: 1.03)
+    monkeypatch.setattr(localization, "theoretical_bound",
+                        lambda pair, sym, p: (1.0, "fake", {"fake": 1.0}))
+    code, out = run_cli(["localize"], tmp_path, ("--set", f"tol_bound_slack={slack}"))
+    assert code == expect
+    assert "fake,2,1.03" in (out / "bounds.csv").read_text()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from weinstein import localization as loc
 from weinstein.grids import (Field, build_base_grid, build_scale_grid, inner_product,
@@ -137,24 +139,34 @@ def _family(pair, window):
     return np.array(fam)
 
 
+def _small_pair(alpha, d, n, m, scales=6):
+    g = build_base_grid(alpha, d, n, m)
+    plan = build_plan(g)
+    sg = build_scale_grid(g, 1 / 16, 16.0, scales)
+    return build_pair(plan, sg, TranslationKernel(g, ThetaRule(alpha, 32)))
+
+
+def _modulated(pair):
+    """The pair with phi modulated by e^{0.7 i x_1} and no frequency profile."""
+    g = pair.plan.grid
+    x1 = g.nodes()[:, 0].reshape(g.shape)
+    phi = Window(field=Field(g, pair.phi.field.values * np.exp(0.7j * x1)), freq_profile=None)
+    return build_pair(pair.plan, pair.scale_grid, pair.kernel, phi, pair.psi)
+
+
 @pytest.mark.parametrize("d,n,m,scales", [(1, 11, 8, 6), (1, 10, 8, 6), (2, 10, 4, 3)])
 def test_assembly_matches_definition(d, n, m, scales):
     # R(y, z) = sum_j w_j a_j^{-q} sum_x w_x sigma psi_{a,x}(y) conj(phi_{a,x}(z)),
     # summed member by member; real and complex symbols, a complex window
     # without a frequency profile, both orientations
-    g = build_base_grid(0.5, d, n, m)
-    plan = build_plan(g)
-    kern = TranslationKernel(g, ThetaRule(0.5, 32))
-    sg = build_scale_grid(g, 1 / 16, 16.0, scales)
-    pair = build_pair(plan, sg, kern)
+    pair = _small_pair(0.5, d, n, m, scales)
+    pair_mod = _modulated(pair)
+    g, sg = pair.plan.grid, pair.scale_grid
     x1 = g.nodes()[:, 0].reshape(g.shape)
-    phi_mod = Window(field=Field(g, pair.phi.field.values * np.exp(0.7j * x1)),
-                     freq_profile=None)
-    pair_mod = build_pair(plan, sg, kern, phi_mod, pair.psi)
     bump = loc.symbol_bump(sg)
     bump_mod = loc.SymbolField(sg, bump.values * np.exp(0.8j * x1)[None])
     fam = {"phi": _family(pair, pair.phi), "psi": _family(pair, pair.psi)}
-    fam_mod = dict(fam, phi=_family(pair_mod, phi_mod))
+    fam_mod = dict(fam, phi=_family(pair_mod, pair_mod.phi))
     w = g.node_weights.reshape(-1)
     for pr, fm, sym in ((pair, fam, bump), (pair, fam, bump_mod), (pair_mod, fam_mod, bump)):
         for swapped in (False, True):
@@ -261,6 +273,11 @@ def test_svd_profile_invariants(st):
     assert loc.singular_value_profile(L) is sv
     with pytest.raises(ValueError):
         sv[0] = 0.0
+    # the matrix is the assembly of (pair, symbol) and stays so
+    with pytest.raises(ValueError):
+        L.matrix[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        loc.LocalizationOperator(pair=pair, symbol=L.symbol, matrix=L.matrix)
     sva = loc.singular_value_profile(loc.adjoint(L))
     assert np.max(np.abs(sv - sva)) < 1e-8 * sv[0]
     # localized symbol: normalized singular values decay below 1e-3 within 25%
@@ -341,3 +358,135 @@ def test_paracommutator_kernel_and_weak_form(st):
     stck = Stack(grid=g, plan=plan, kernel=kern, scale_grid=sg)
     rhs = _paracommutator_weak(pair, sym, f, h, stck)
     assert abs(lhs - rhs) <= 0.03 * abs(lhs)
+
+
+# ---------------------------------------------------------------------------
+# operator structure: real operators and x-independent symbols
+# ---------------------------------------------------------------------------
+
+def _reference_profile(L):
+    """Dense complex SVD of the measure-symmetrized matrix, whatever the route."""
+    return np.linalg.svd(loc._sym_matrix(L).astype(np.complex128), compute_uv=False)
+
+
+@pytest.mark.parametrize("alpha,d,n,m", [(0.5, 1, 10, 8), (0.5, 1, 11, 8), (0.5, 2, 6, 5),
+                                         (0.0, 1, 10, 8), (1.5, 1, 11, 8)])
+def test_structure_routes_match_dense_reference(alpha, d, n, m):
+    pair = _small_pair(alpha, d, n, m)
+    sg = pair.scale_grid
+    so = loc.symbol_scale_only(sg)
+    cases = [  # (pair, symbol, real operator, x-independent symbol)
+        (pair, loc.symbol_bump(sg), True, False),
+        (pair, loc.symbol_indicator(sg), True, True),
+        (pair, so, True, True),
+        (pair, loc.SymbolField(sg, so.values * (1 - 0.6j)), False, True),
+        (_modulated(pair), loc.symbol_indicator(sg), False, True),
+        (_modulated(pair), loc.symbol_bump(sg), False, False),
+    ]
+    for pr, sym, real, x_indep in cases:
+        for swapped in (False, True):
+            L = loc.LocalizationOperator(pair=pr, symbol=sym, swapped=swapped)
+            assert loc._real_operator(pr, sym) is real
+            assert L.x_independent is x_indep
+            assert L.matrix.dtype == (np.float64 if real else np.complex128)
+            sv, ref = loc.singular_value_profile(L), _reference_profile(L)
+            assert sv.shape == ref.shape and np.all(np.diff(sv) <= 0)
+            assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0], (sym.declared_class, real)
+
+
+@pytest.mark.parametrize("alpha,d,n,m", [(0.5, 1, 10, 8), (0.5, 1, 11, 8), (0.5, 2, 6, 5)])
+def test_real_assembly_matches_complex_assembly(alpha, d, n, m, monkeypatch):
+    pair = _small_pair(alpha, d, n, m)
+    sym = loc.symbol_bump(pair.scale_grid)
+    g = pair.plan.grid
+    rng = np.random.default_rng(11)
+    f = random_field(g, rng)
+    probes = loc.probe_matrix(g, samples=7, seed=12)
+    real = [loc.LocalizationOperator(pair=pair, symbol=sym, swapped=s) for s in (False, True)]
+    monkeypatch.setattr(loc, "_real_operator", lambda pair, symbol: False)
+    full = [loc.LocalizationOperator(pair=pair, symbol=sym, swapped=s) for s in (False, True)]
+    for Lr, Lc in zip(real, full):
+        assert Lr.matrix.dtype == np.float64 and Lc.matrix.dtype == np.complex128
+        scale = np.max(np.abs(Lc.matrix))
+        assert np.max(np.abs(Lr.matrix - Lc.matrix)) <= 2e-15 * scale
+        # one real GEMM on the (re, im) view applies the real matrix to complex data
+        a, b = loc.apply_operator(Lr, f).values, loc.apply_operator(Lc, f).values
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+        for p in (1, 2, np.inf):
+            assert loc.measured_norm(Lr, p) == pytest.approx(loc.measured_norm(Lc, p), rel=1e-13)
+        assert loc.measured_norm(Lr, 1.5, probes=probes) == pytest.approx(
+            loc.measured_norm(Lc, 1.5, probes=probes), rel=1e-13)
+
+
+def test_symbol_off_by_one_ulp_takes_dense_route(monkeypatch):
+    pair = _small_pair(0.5, 1, 10, 8)
+    so = loc.symbol_scale_only(pair.scale_grid)
+    blocks = loc.singular_value_profile(loc.assemble(pair, so))
+    vals = so.values.real.copy()
+    vals[2, 3, 4] = np.nextafter(vals[2, 3, 4], np.inf)
+    bent = loc.SymbolField(pair.scale_grid, vals)
+    assert not loc._x_independent(bent)
+
+    def no_blocks(g, M):
+        raise AssertionError("block route taken for an x-dependent symbol")
+
+    monkeypatch.setattr(loc, "_lattice_blocks", no_blocks)
+    L = loc.assemble(pair, bent)
+    sv, ref = loc.singular_value_profile(L), _reference_profile(L)
+    assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
+    assert np.max(np.abs(sv - blocks)) <= 1e-13 * ref[0]
+    # the route is the assembled symbol's: making it constant afterwards changes nothing
+    far = loc.SymbolField(pair.scale_grid, np.where(vals == vals[2, 3, 4], 3.0 * vals, vals))
+    L = loc.assemble(pair, far)
+    far.values[...] = so.values
+    assert not L.x_independent
+    sv, ref = loc.singular_value_profile(L), _reference_profile(L)
+    assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
+
+
+def test_window_off_symmetry_in_one_entry_takes_complex_route():
+    pair = _small_pair(0.5, 1, 10, 8)
+    sym = loc.symbol_bump(pair.scale_grid)
+    real = loc.assemble(pair, sym)
+    bent = build_pair(pair.plan, pair.scale_grid, pair.kernel)
+    fd = bent.freq_data("psi")        # cached: space_data is built from this array
+    fd[3, 2, 5] = np.nextafter(fd[3, 2, 5].real, np.inf) + 1j * fd[3, 2, 5].imag
+    assert loc._real_operator(pair, sym) and not loc._real_operator(bent, sym)
+    L = loc.assemble(bent, sym)
+    assert L.matrix.dtype == np.complex128
+    assert np.max(np.abs(L.matrix - real.matrix)) <= 1e-13 * np.max(np.abs(real.matrix))
+    sv, ref = loc.singular_value_profile(L), _reference_profile(L)
+    assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st_.sampled_from([-0.45, -0.2, 0.0, 0.5, 1.5]), d=st_.sampled_from([1, 2]),
+       n=st_.integers(3, 8), m=st_.integers(2, 5), complex_symbol=st_.booleans(),
+       seed=st_.integers(0, 2**16))
+def test_x_independent_symbols_are_block_diagonal(alpha, d, n, m, complex_symbol, seed):
+    # sigma(a, x_r) only: U M U^H vanishes off its diagonal m x m blocks, the
+    # diagonal blocks are _lattice_blocks, and their singular values are the profile
+    if d == 2:
+        n = min(n, 5)
+    pair = _small_pair(alpha, d, n, m, scales=3)
+    sg, g = pair.scale_grid, pair.plan.grid
+    rng = np.random.default_rng(seed)
+    prof = rng.normal(size=(sg.scale_points, 1, m))
+    if complex_symbol:
+        prof = prof + 1j * rng.normal(size=prof.shape)
+    sym = loc.SymbolField(sg, np.broadcast_to(prof, sg.shape))
+    L = loc.assemble(pair, sym)
+    M = loc._sym_matrix(L)
+    nc = g.n_cart
+    cart = tuple(range(d))
+    UMU = np.fft.fftn(M.reshape((n,) * d + (m,) + (n,) * d + (m,)), axes=cart, norm="ortho")
+    UMU = np.fft.ifftn(UMU, axes=tuple(range(d + 1, 2 * d + 1)), norm="ortho")
+    UMU = UMU.reshape(nc, m, nc, m).transpose(0, 2, 1, 3)
+    diag = UMU[np.arange(nc), np.arange(nc)]
+    off = UMU.copy()
+    off[np.arange(nc), np.arange(nc)] = 0.0
+    scale = np.max(np.abs(M))
+    assert np.max(np.abs(off)) <= 1e-13 * scale
+    assert np.max(np.abs(diag - loc._lattice_blocks(g, M))) <= 1e-13 * scale
+    sv, ref = loc.singular_value_profile(L), _reference_profile(L)
+    assert np.max(np.abs(sv - ref)) <= 1e-13 * max(ref[0], 1e-300)
