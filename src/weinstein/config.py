@@ -38,7 +38,7 @@ class RunConfig:
     alphas: str = "0,0.5,1.5"    # alpha sweep for the verification suite
     seed: int = 42
     out_dir: str = "out"
-    # named tolerance overrides (0 = use built-in default)
+    # tolerance overrides: tol_<key> replaces verify.TOL[<key>] (0 = built-in default)
     tol_kernel: float = 0.0
     tol_transform: float = 0.0
     tol_convolution: float = 0.0

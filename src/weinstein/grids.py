@@ -70,6 +70,7 @@ class BaseGrid:
         self.radial_nodes = r
         self.radial_weights = 0.5 * R * gw * r ** (2.0 * self.alpha + 1.0) * c
         self._reflect_index = None
+        self._sum_index = None
 
     # -- shapes and layout -------------------------------------------------
     @property
@@ -116,6 +117,11 @@ class BaseGrid:
         return np.multiply.outer(self.cart_weight_flat, self.radial_weights)
 
     # -- lattice index arithmetic -------------------------------------------
+    def _flat(self, cells: np.ndarray) -> np.ndarray:
+        """Flat C-order index of integer lattice cells (d, ...), each axis mod n."""
+        n = self.cart_points
+        return np.ravel_multi_index(cells % n, (n,) * self.d)
+
     def cart_reflect_index(self) -> np.ndarray:
         """(n^d,) permutation sending the lattice point x to -x (per axis, mod period).
 
@@ -123,32 +129,41 @@ class BaseGrid:
         for even and odd n alike.
         """
         if self._reflect_index is None:
-            n = self.cart_points
-            r1 = (2 * (n // 2) - np.arange(n)) % n
-            idx = r1
-            if self.d > 1:
-                shape_i = (n,) * self.d
-                ii = np.indices(shape_i).reshape(self.d, -1)
-                ri = (2 * (n // 2) - ii) % n
-                idx = np.zeros(self.n_cart, dtype=np.int64)
-                for ax in range(self.d):
-                    idx = idx * n + ri[ax]
-            self._reflect_index = idx.astype(np.int64)
+            n, d = self.cart_points, self.d
+            self._reflect_index = self._flat(2 * (n // 2) - np.indices((n,) * d).reshape(d, -1))
+            self._reflect_index.flags.writeable = False
         return self._reflect_index
+
+    def cart_sum_index(self) -> np.ndarray:
+        """(n^d, n^d) symmetric table: [k, l] is the flat index of k + l (per axis, mod n)."""
+        if self._sum_index is None:
+            n, d = self.cart_points, self.d
+            c = np.indices((n,) * d).reshape(d, -1)
+            self._sum_index = self._flat(c[:, :, None] + c[:, None, :])
+            self._sum_index.flags.writeable = False
+        return self._sum_index
 
     def cart_flat_index(self, point) -> int:
         """Flat Cartesian index of a lattice point; raises if off-lattice."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
-        n = self.cart_points
-        t = point / self.cart_step + n // 2
+        t = point / self.cart_step + self.cart_points // 2
         k = np.rint(t).astype(int)
         if np.max(np.abs(t - k)) > 1e-9:
             raise ValueError(f"point {point} is not on the Cartesian lattice")
-        k = k % n
-        flat = 0
-        for ax in range(self.d):
-            flat = flat * n + k[ax]
-        return int(flat)
+        return int(self._flat(k))
+
+    # -- separable evaluation ------------------------------------------------
+    def apply_axes(self, values: np.ndarray, cart, radial: np.ndarray) -> np.ndarray:
+        """(n^d, m) values through cart[ax] (n, n) on each Cartesian axis, then radial (m, m).
+
+        The separable form shared by the transform, translation and dilation.
+        """
+        n, m, d = self.cart_points, self.radial_points, self.d
+        v = values.reshape((n,) * d + (m,))
+        for ax, A in enumerate(cart):
+            v = np.moveaxis(np.tensordot(A, v, axes=([1], [ax])), 0, ax)
+        v = np.tensordot(v, radial, axes=([d], [1]))
+        return v.reshape(self.shape)
 
 
 def build_base_grid(alpha: float, d: int, n: int, m: int,

@@ -69,6 +69,8 @@ class SymbolField:
 
     For separable classes the factors are stored and the value array is
     their product; ``lr_exponent`` records the L^r class when relevant.
+    The values are a read-only complex128 copy, so an assembled operator
+    keeps the data its route was decided from.
     """
 
     grid: ScaleGrid
@@ -84,7 +86,8 @@ class SymbolField:
             raise ValueError(f"symbol shape {v.shape} != scale grid {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("symbol contains non-finite values")
-        self.values = v.astype(np.complex128, copy=False)
+        self.values = np.array(v, dtype=np.complex128)
+        self.values.flags.writeable = False
         if self.chi is not None and self.zeta is not None:
             prod = self.chi[:, None, None] * self.zeta[None]
             if np.max(np.abs(prod - self.values)) > 1e-12 * max(1.0, np.max(np.abs(self.values))):
@@ -212,12 +215,9 @@ def _lattice_blocks(g, M: np.ndarray) -> np.ndarray:
     is the DFT over the lattice offset c = y_c - z_c of the mean of the
     m x m blocks M[z_c + c, z_c].
     """
-    n, d = g.cart_points, g.d
     nc, m = g.shape
-    cells = np.indices((n,) * d).reshape(d, nc)
     # flat index of z_c + c, offsets c down the rows, nodes z_c along the columns
-    shifted = np.ravel_multi_index((cells[:, :, None] + cells[:, None, :]) % n, (n,) * d)
-    T = M.reshape(nc, m, nc, m)[shifted, :, np.arange(nc), :].mean(axis=1)
+    T = M.reshape(nc, m, nc, m)[g.cart_sum_index(), :, np.arange(nc), :].mean(axis=1)
     return cart_fft(g, T)
 
 
@@ -269,16 +269,16 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool) -> n
     D = c[:, None, None] * g.node_weights * symbol.values
     # D^[(j, x_r), p], C-ordered so that a row's product with Ga reshapes as a view
     D = np.ascontiguousarray(cart_fft(g, D.transpose(1, 0, 2)).reshape(nc, Jm).T)
-    cells = np.indices((n,) * d).reshape(d, nc)
+    k_plus_l = g.cart_sum_index()
     real = _real_operator(pair, symbol)
-    # rows k in C order: the half spectrum k_d <= n//2 of a real R, else all
-    rows = np.flatnonzero(cells[-1] <= n // 2) if real else np.arange(nc)
+    # rows k in C order (the last Cartesian component is k mod n): the half
+    # spectrum k_d <= n//2 of a real R, else all
+    rows = np.flatnonzero(np.arange(nc) % n <= n // 2) if real else np.arange(nc)
     R = np.empty((len(rows), m, nc, m), dtype=np.complex128)     # [k, y_r, z_c, z_r]
     for i, k in enumerate(rows):
-        k_plus_l = np.ravel_multi_index((cells + cells[:, k:k + 1]) % n, (n,) * d)
         # Gs^[y_r, (j, x_r)] = sum_r K[x_r, y_r, r] syn^[k, j, r]
         Gs = (K @ syn_hat[k].T).transpose(1, 2, 0).reshape(m, Jm)
-        row = Gs @ (D[:, k_plus_l, None] * Ga).reshape(Jm, nc * m)
+        row = Gs @ (D[:, k_plus_l[k], None] * Ga).reshape(Jm, nc * m)
         R[i] = sp_fft.ifftn(row.reshape((m,) + (n,) * d + (m,)), axes=tuple(range(1, d + 1)),
                             overwrite_x=True).reshape(m, nc, m)
     axes = tuple(range(d))

@@ -50,15 +50,6 @@ class TransformPlan:
             M = np.kron(M, self.cart_factor)
         return np.kron(M, self.radial_factor)
 
-    def _apply(self, values: np.ndarray) -> np.ndarray:
-        g = self.grid
-        n, m, d = g.cart_points, g.radial_points, g.d
-        v = values.reshape((n,) * d + (m,))
-        for ax in range(d):
-            v = np.moveaxis(np.tensordot(self.cart_factor, v, axes=([1], [ax])), 0, ax)
-        v = np.tensordot(v, self.radial_factor, axes=([d], [1]))
-        return v.reshape(g.shape)
-
 
 def build_plan(grid: BaseGrid) -> TransformPlan:
     return TransformPlan(grid)
@@ -68,7 +59,8 @@ def forward(plan: TransformPlan, f: Field) -> Field:
     """F(f) sampled on the (self-dual) frequency grid."""
     if f.grid is not plan.grid:
         raise ValueError("field not on the plan's grid")
-    return Field(plan.grid, plan._apply(f.values))
+    g = plan.grid
+    return Field(g, g.apply_axes(f.values, [plan.cart_factor] * g.d, plan.radial_factor))
 
 
 def inverse(plan: TransformPlan, F: Field) -> Field:

@@ -17,7 +17,11 @@ the Gauss-Legendre nodes (superalgebraic for smooth data); arguments
 beyond R use zero extension.  Cartesian lattice shifts are exact index
 rolls on the periodic lattice (``lattice_shift``: node k holds
 (k - n//2) h on the torus of period 2L); fractional shifts use circular
-Lagrange interpolation.
+Lagrange interpolation.  One Lagrange product (``_lagrange_weights``)
+serves both Cartesian edge rules: the circular stencils of ``translate``
+and the clipped rows (``_cart_eval_matrix``) that evaluate window data at
+scaled points and dilate.  ``translate`` applies its per-axis matrices
+through ``BaseGrid.apply_axes``, as the transform and the dilation do.
 
 The convolution is evaluated in the translated-window form
 
@@ -40,6 +44,7 @@ from .grids import BaseGrid, Field, _same_grid
 from .special import check_alpha, translation_constant
 from .transform import TransformPlan, forward, inverse
 
+#: stencil order of both Cartesian Lagrange edge rules (circular and clipped)
 _LAGRANGE_ORDER = 10
 
 
@@ -77,6 +82,49 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     for j in range(len(nodes)):
         w[j] = 1.0 / np.prod(nodes[j] - np.delete(nodes, j))
     return w / np.max(np.abs(w))
+
+
+def _lagrange_weights(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(len(t), q) Lagrange weights of the points t on the stencil ``nodes`` (q,).
+
+    The weight of node a is the product over b != a of the quotients
+    (t - node_b) / (node_a - node_b), multiplied in increasing b; both
+    Cartesian edge rules (circular and clipped) form their stencils here.
+    """
+    q = len(nodes)
+    den = nodes[None, :] - nodes[:, None]                   # [b, a]: node_a - node_b
+    den[np.diag_indices(q)] = 1
+    f = (t[None, :] - nodes[:, None])[:, :, None] / den[:, None, :]     # [b, point, a]
+    f[np.arange(q), :, np.arange(q)] = 1.0
+    return np.multiply.reduce(f, axis=0)
+
+
+def _cart_eval_matrix(grid: BaseGrid, pts: np.ndarray) -> np.ndarray:
+    """(len(pts), n) Lagrange evaluation rows on one Cartesian axis.
+
+    Clipped (non-circular) stencils with zero extension beyond the box:
+    used for continuum-function evaluation such as F(phi)(a xi) and for
+    dilation.  A point at lattice position t = (p - x_0) / h in
+    [-0.5, n - 0.5] gets the order = min(_LAGRANGE_ORDER, n) nodes
+    lo .. lo + order - 1 nearest to it (clipped to the axis); rows of
+    points outside that range are zero.  Non-finite points raise
+    ValueError.
+    """
+    n = grid.cart_points
+    order = min(_LAGRANGE_ORDER, n)
+    pts = np.asarray(pts, dtype=float).ravel()
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("interpolation points must be finite")
+    t = (pts - grid.cart_axis[0]) / grid.cart_step
+    rows = np.flatnonzero((t >= -0.5) & (t <= n - 0.5))
+    t = t[rows]
+    lo = np.clip(np.floor(t).astype(np.int64) - order // 2 + 1, 0, n - order)
+    stencil = np.arange(order)
+    A = np.zeros((len(pts), n))
+    # t - lo is exact (0 <= lo <= t unless lo = 0), so the stencil 0 .. order - 1
+    # gives the quotients of the nodes lo .. lo + order - 1 bit for bit
+    A[rows[:, None], lo[:, None] + stencil] = _lagrange_weights(t - lo, stencil)
+    return A
 
 
 def radial_interp_matrix(grid: BaseGrid, pts: np.ndarray) -> np.ndarray:
@@ -168,31 +216,24 @@ def circular_shift_matrix(grid: BaseGrid, shift: float) -> np.ndarray:
     """(n, n) one-axis evaluation matrix for f(y - shift) on the periodic lattice.
 
     Lattice shifts give an exact permutation; fractional shifts use
-    circular Lagrange interpolation of order _LAGRANGE_ORDER.
+    circular Lagrange interpolation of order _LAGRANGE_ORDER.  Either way it
+    is a circulant; offsets that wrap onto one node (n below the order) add
+    up in increasing offset.
     """
     n = grid.cart_points
-    h = grid.cart_step
-    t = shift / h
+    t = shift / grid.cart_step
     k0 = int(np.floor(t + 0.5))
     frac = t - k0
     if abs(frac) < 1e-12:
-        P = np.zeros((n, n))
-        j = np.arange(n)
-        P[j, (j - k0) % n] = 1.0
-        return P
-    # Lagrange stencil around the fractional offset
-    q = _LAGRANGE_ORDER
-    offs = np.arange(-(q // 2) + 1, q // 2 + 1)
-    wgt = np.ones(q)
-    for a in range(q):
-        for b in range(q):
-            if a != b:
-                wgt[a] *= (frac - offs[b]) / (offs[a] - offs[b])
-    P = np.zeros((n, n))
+        offs, wgt = np.zeros(1, dtype=int), np.ones(1)
+    else:
+        q = _LAGRANGE_ORDER
+        offs = np.arange(-(q // 2) + 1, q // 2 + 1)
+        wgt = _lagrange_weights(np.array([frac]), offs)[0]
+    # col[s] = col[s + n]: weight of node j + s (mod n) in row j
+    col = np.tile(np.bincount((-k0 - offs) % n, wgt, n), 2)
     j = np.arange(n)
-    for o, w in zip(offs, wgt):
-        P[j, (j - k0 - o) % n] += w
-    return P
+    return col[n + j[None, :] - j[:, None]]
 
 
 def translate(kernel: TranslationKernel, x, f: Field) -> Field:
@@ -203,14 +244,9 @@ def translate(kernel: TranslationKernel, x, f: Field) -> Field:
         raise ValueError(f"x must have {g.d + 1} coordinates")
     if x[g.d] < 0:
         raise ValueError("radial offset must be >= 0")
-    n, m, d = g.cart_points, g.radial_points, g.d
-    v = f.values.reshape((n,) * d + (m,))
-    for ax in range(d):
-        P = circular_shift_matrix(g, x[ax])
-        v = np.moveaxis(np.tensordot(P, v, axes=([1], [ax])), 0, ax)
-    rows = kernel.radial_rows(float(x[d]))  # [y_r, r]
-    v = np.tensordot(v, rows, axes=([d], [1]))
-    return Field(g, v.reshape(g.shape))
+    cart = [circular_shift_matrix(g, s) for s in x[:g.d]]
+    rows = kernel.radial_rows(float(x[g.d]))  # [y_r, r]
+    return Field(g, g.apply_axes(f.values, cart, rows))
 
 
 def check_translate_fourier(plan: TransformPlan, kernel: TranslationKernel,

@@ -10,7 +10,7 @@ symbol classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .report import CheckRow, make_row
 from .special import weinstein_kernel
 from .transform import (build_plan, check_hausdorff_young, check_parseval,
                         check_plancherel, forward, inverse)
-from .translation import (ThetaRule, TranslationKernel, convolve, convolve_spectral,
-                          lattice_shift, translate)
+from .translation import (ThetaRule, TranslationKernel, check_translate_fourier, convolve,
+                          convolve_spectral, lattice_shift, translate)
 from .wavelets import (WaveletPair, admissibility_constant, build_pair, cwt,
                        cwt_convolution_form, check_two_wavelet_parseval, dilate,
                        family_member, invert_cwt, two_wavelet_constant,
@@ -51,20 +51,12 @@ TOL = {
 
 
 def tolerances(config: RunConfig) -> dict:
+    """TOL with every nonzero config field tol_<key> replacing entry <key>."""
     t = dict(TOL)
-    mapping = {
-        "tol_kernel": "kernel",
-        "tol_transform": "transform",
-        "tol_convolution": "convolution",
-        "tol_wavelet": "wavelet",
-        "tol_operator_exact": "operator_exact",
-        "tol_bound_slack": "bound_slack",
-        "tol_examples": "examples",
-    }
-    for key, name in mapping.items():
-        v = getattr(config, key)
-        if v > 0:
-            t[name] = v
+    for f in fields(RunConfig):
+        v = getattr(config, f.name)
+        if f.name.startswith("tol_") and v > 0:
+            t[f.name[len("tol_"):]] = v
     return t
 
 
@@ -254,11 +246,7 @@ def translation_checks(st: Stack, rng, tol: dict) -> list[CheckRow]:
     for _ in range(5):
         f = random_field(g, rng)
         x = _rand_safe_node(g, rng)
-        tf = translate(kern, x, f)
-        lhs = forward(plan, tf)
-        fac = weinstein_kernel(g.alpha, g.d, g.nodes(), x).reshape(g.shape)
-        rhs = Field(g, fac * forward(plan, f).values)
-        worst_mmm = max(worst_mmm, _rel(lhs, rhs))
+        worst_mmm = max(worst_mmm, _rel(*check_translate_fourier(plan, kern, x, f)))
     rows.append(make_row(f"translate.transform_identity.{tag}",
                          "F(tau_x f) = Lambda(x,.) F(f), worst relative L2",
                          worst_mmm, 0.0, tol["transform"], mode="abs"))
@@ -606,11 +594,10 @@ def operator_bound_checks(st: Stack, tol: dict, pair_name: str, pair: WaveletPai
     return rows
 
 
-def example_checks(st: Stack, rng, tol: dict) -> list[CheckRow]:
+def example_checks(st: Stack, rng, tol: dict, pair: WaveletPair) -> list[CheckRow]:
     g, plan = st.grid, st.plan
     tag = f"alpha{g.alpha:g}"
     rows = []
-    pair = build_pair(plan, st.scale_grid, st.kernel)
     sg = pair.scale_grid
 
     # multiplier: scale-only symbol acts as a transform-side multiplier
@@ -794,5 +781,5 @@ def run_verify(config: RunConfig) -> list[CheckRow]:
         rows += operator_bound_checks(st_op, tol, "pairA", pair_a, probes)
         rows += operator_bound_checks(st_op, tol, "pairB", pair_b, probes)
         if abs(alpha - config.alpha) < 1e-12:
-            rows += example_checks(st_op, rng, tol)
+            rows += example_checks(st_op, rng, tol, pair_a)
     return rows

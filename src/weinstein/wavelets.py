@@ -35,8 +35,8 @@ import numpy as np
 
 from .grids import (BaseGrid, Field, ScaleField, ScaleGrid, inner_product,
                     reflect, scale_inner_product)
-from .translation import (TranslationKernel, cart_fft, lattice_shift,
-                          radial_interp_matrix)
+from .translation import (TranslationKernel, _cart_eval_matrix, cart_fft,
+                          lattice_shift, radial_interp_matrix)
 from .transform import TransformPlan, forward, inverse
 
 #: taper is flat below FLAT * extent and zero above CUT * extent, per axis
@@ -113,41 +113,6 @@ def default_windows(plan: TransformPlan) -> tuple[Window, Window]:
 # evaluation of frequency data at scaled points
 # ---------------------------------------------------------------------------
 
-def _cart_eval_matrix(grid: BaseGrid, pts: np.ndarray, order: int = 10) -> np.ndarray:
-    """(len(pts), n) Lagrange evaluation rows on one Cartesian axis.
-
-    Clipped (non-circular) stencils with zero extension beyond the box:
-    used for continuum-function evaluation such as F(phi)(a xi).  A point
-    at lattice position t = (p - x_0) / h in [-0.5, n - 0.5] gets the
-    ``order`` nodes lo .. lo + order - 1 nearest to it (clipped to the
-    axis); rows of points outside that range are zero.  Axes with fewer
-    than ``order`` points use all of them.  All stencils are built at
-    once: the weight of node a is the product over b != a of
-    (t - idx_b) / (a - b), taken in increasing b.  Non-finite points
-    raise ValueError.
-    """
-    n = grid.cart_points
-    order = min(order, n)
-    pts = np.asarray(pts, dtype=float).ravel()
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("interpolation points must be finite")
-    t = (pts - grid.cart_axis[0]) / grid.cart_step
-    rows = np.flatnonzero((t >= -0.5) & (t <= n - 0.5))
-    t = t[rows]
-    lo = np.clip(np.floor(t).astype(np.int64) - order // 2 + 1, 0, n - order)
-    idx = lo[:, None] + np.arange(order)                    # [rows, order]
-    w = np.ones(idx.shape)
-    for b in range(order):
-        den = np.arange(order) - b
-        den[b] = 1
-        f = (t - idx[:, b])[:, None] / den
-        f[:, b] = 1.0
-        w *= f
-    A = np.zeros((len(pts), n))
-    A[rows[:, None], idx] = w
-    return A
-
-
 def eval_freq_data(window: Window, plan: TransformPlan, pts: np.ndarray) -> np.ndarray:
     """F(window)(pts) for arbitrary points (..., d+1): profile if present, else interpolation.
 
@@ -203,15 +168,10 @@ def dilate(a: float, f: Field) -> Field:
     if a <= 0:
         raise ValueError("dilation scale must be positive")
     g = f.grid
-    n, m, d = g.cart_points, g.radial_points, g.d
-    v = f.values.reshape((n,) * d + (m,))
-    A = _cart_eval_matrix(g, g.cart_axis / a)
-    for ax in range(d):
-        v = np.moveaxis(np.tensordot(A, v, axes=([1], [ax])), 0, ax)
-    Rr = radial_interp_matrix(g, g.radial_nodes / a)
-    v = np.tensordot(v, Rr, axes=([d], [1]))
+    v = g.apply_axes(f.values, [_cart_eval_matrix(g, g.cart_axis / a)] * g.d,
+                     radial_interp_matrix(g, g.radial_nodes / a))
     q = 2.0 * g.alpha + g.d + 2.0
-    return Field(g, v.reshape(g.shape) * a ** (-q))
+    return Field(g, v * a ** (-q))
 
 
 def family_member(kernel: TranslationKernel, plan: TransformPlan, window: Window,
@@ -287,7 +247,10 @@ def _scale_integrals(plan, scale_grid, window_phi, window_psi) -> np.ndarray:
 
 @dataclass
 class WaveletPair:
-    """Two windows with cached admissibility data and per-scale window data."""
+    """Two windows with cached admissibility data and per-scale window data.
+
+    The per-scale data are cached read-only: every later use of the pair reads them.
+    """
 
     plan: TransformPlan
     scale_grid: ScaleGrid
@@ -326,6 +289,7 @@ class WaveletPair:
             out = np.empty(self.scale_grid.shape, dtype=np.complex128)
             for j, a in enumerate(self.scale_grid.scales):
                 out[j] = scaled_window_data(window, self.plan, float(a), self.taper)
+            out.flags.writeable = False
             self._data[which] = out
         return self._data[which]
 
@@ -338,6 +302,7 @@ class WaveletPair:
             out = np.empty_like(fd)
             for j in range(self.scale_grid.scale_points):
                 out[j] = inverse(self.plan, Field(g, fd[j])).values
+            out.flags.writeable = False
             self._data[key] = out
         return self._data[key]
 

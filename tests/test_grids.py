@@ -122,6 +122,27 @@ def test_reflect_involution_and_isometry():
         assert np.max(np.minimum(residue, period - residue)) < 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [6, 7])
+def test_lattice_index_tables_match_per_row_arithmetic(n, d):
+    g = make_grid(d=d, n=n, m=3)
+    shape = (n,) * d
+    cells = np.indices(shape).reshape(d, -1)
+    # one ravel_multi_index per row k, as the assembly built it
+    table = np.stack([np.ravel_multi_index((cells + cells[:, k:k + 1]) % n, shape)
+                      for k in range(g.n_cart)])
+    assert np.array_equal(g.cart_sum_index(), table)
+    # the flat index written out axis by axis
+    refl = np.zeros(g.n_cart, dtype=np.int64)
+    for ax in range(d):
+        refl = refl * n + (2 * (n // 2) - cells[ax]) % n
+    assert np.array_equal(g.cart_reflect_index(), refl)
+    for k in (0, 1, g.n_cart - 1):
+        assert g.cart_flat_index(g.cart_coordinates()[k]) == k
+    with pytest.raises(ValueError):
+        g.cart_sum_index()[0, 0] = 1
+
+
 def test_scale_grid_weights():
     g = make_grid(n=16, m=16)
     sg = build_scale_grid(g, 1.0, np.e, 2)

@@ -435,11 +435,16 @@ def test_symbol_off_by_one_ulp_takes_dense_route(monkeypatch):
     sv, ref = loc.singular_value_profile(L), _reference_profile(L)
     assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
     assert np.max(np.abs(sv - blocks)) <= 1e-13 * ref[0]
-    # the route is the assembled symbol's: making it constant afterwards changes nothing
+    # the route is the assembled symbol's: it holds a read-only copy, so
+    # writing into it raises, and making the caller's array constant in x
+    # afterwards changes neither the symbol nor the route
     far = loc.SymbolField(pair.scale_grid, np.where(vals == vals[2, 3, 4], 3.0 * vals, vals))
     L = loc.assemble(pair, far)
-    far.values[...] = so.values
-    assert not L.x_independent
+    with pytest.raises(ValueError):
+        far.values[...] = so.values
+    vals[...] = so.values.real
+    assert loc._x_independent(loc.SymbolField(pair.scale_grid, vals))
+    assert not loc._x_independent(bent) and not L.x_independent
     sv, ref = loc.singular_value_profile(L), _reference_profile(L)
     assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
 
@@ -448,9 +453,15 @@ def test_window_off_symmetry_in_one_entry_takes_complex_route():
     pair = _small_pair(0.5, 1, 10, 8)
     sym = loc.symbol_bump(pair.scale_grid)
     real = loc.assemble(pair, sym)
-    bent = build_pair(pair.plan, pair.scale_grid, pair.kernel)
-    fd = bent.freq_data("psi")        # cached: space_data is built from this array
+    # the cached window data are read-only; the edited copy is seeded into a
+    # fresh pair before its first use, so its space data are built from it
+    fd = pair.freq_data("psi").copy()
+    for data in (pair.freq_data("psi"), pair.space_data("psi")):
+        with pytest.raises(ValueError):
+            data[3, 2, 5] = 0.0
     fd[3, 2, 5] = np.nextafter(fd[3, 2, 5].real, np.inf) + 1j * fd[3, 2, 5].imag
+    bent = build_pair(pair.plan, pair.scale_grid, pair.kernel)
+    bent._data["psi"] = fd
     assert loc._real_operator(pair, sym) and not loc._real_operator(bent, sym)
     L = loc.assemble(bent, sym)
     assert L.matrix.dtype == np.complex128

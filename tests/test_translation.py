@@ -8,8 +8,8 @@ from weinstein.grids import Field, build_base_grid, inner_product, lp_norm
 from weinstein.probes import gaussian, random_even_field, random_field
 from weinstein.transform import build_plan, forward
 from weinstein.translation import (ThetaRule, TranslationKernel,
-                                   check_translate_fourier, convolve,
-                                   convolve_spectral, lattice_shift,
+                                   check_translate_fourier, circular_shift_matrix,
+                                   convolve, convolve_spectral, lattice_shift,
                                    radial_interp_matrix, translate)
 
 
@@ -189,6 +189,62 @@ def test_lattice_shift_matches_translate():
             want = translate(kern, np.append(cart[k], 0.0), f).values
             got = lattice_shift(g, f.values, k)
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def circular_shift_matrix_loop(g, shift, order=10):
+    # reference: the Lagrange product as a double loop over the stencil, and
+    # one += per offset into the (n, n) matrix
+    n, h = g.cart_points, g.cart_step
+    t = shift / h
+    k0 = int(np.floor(t + 0.5))
+    frac = t - k0
+    P = np.zeros((n, n))
+    j = np.arange(n)
+    if abs(frac) < 1e-12:
+        P[j, (j - k0) % n] = 1.0
+        return P
+    offs = np.arange(-(order // 2) + 1, order // 2 + 1)
+    wgt = np.ones(order)
+    for a in range(order):
+        for b in range(order):
+            if a != b:
+                wgt[a] *= (frac - offs[b]) / (offs[a] - offs[b])
+    for o, w in zip(offs, wgt):
+        P[j, (j - k0 - o) % n] += w
+    return P
+
+
+def translate_loop(kern, x, f):
+    # reference: the per-axis contraction written out, reference circulants
+    g = f.grid
+    n, m, d = g.cart_points, g.radial_points, g.d
+    v = f.values.reshape((n,) * d + (m,))
+    for ax in range(d):
+        P = circular_shift_matrix_loop(g, x[ax])
+        v = np.moveaxis(np.tensordot(P, v, axes=([1], [ax])), 0, ax)
+    v = np.tensordot(v, kern.radial_rows(float(x[d])), axes=([d], [1]))
+    return v.reshape(g.shape)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [4, 8, 11, 32])
+def test_circular_shift_matches_double_loop(n, d):
+    # n = 4 and 8 are below the stencil order: the circular stencil wraps onto
+    # itself, at n = 4 with three offsets summed into one node
+    g = build_base_grid(0.5, d, n, 6)
+    h = g.cart_step
+    rng = np.random.default_rng(n + d)
+    lattice = h * np.array([0, 1, -1, 3, n // 2, -n - 2, 2 * n + 5])
+    frac = np.concatenate([h * np.array([0.5, -0.5, 0.37, 1e-13, 1e-11, n + 0.25]),
+                           rng.uniform(-2.0, 2.0, 12) * g.cart_extent])
+    for shift in np.concatenate([lattice, frac]):
+        assert np.array_equal(circular_shift_matrix(g, shift),
+                              circular_shift_matrix_loop(g, shift)), shift
+    kern = TranslationKernel(g, ThetaRule(0.5, 16))
+    f = Field(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    for _ in range(3):
+        x = np.append(rng.choice(np.concatenate([lattice, frac]), size=d), 0.7)
+        assert np.array_equal(translate(kern, x, f).values, translate_loop(kern, x, f))
 
 
 def test_translate_mass_preservation():

@@ -323,7 +323,7 @@ def _stencil_points(g, rng):
 
 @pytest.mark.parametrize("n", [8, 11, 32])
 def test_cart_eval_matrix_matches_pointwise_stencils(n):
-    from weinstein.wavelets import _cart_eval_matrix
+    from weinstein.translation import _cart_eval_matrix
     g = build_base_grid(0.5, 1, n, 8)
     pts = _stencil_points(g, np.random.default_rng(n))
     A = _cart_eval_matrix(g, pts)
@@ -343,7 +343,7 @@ def test_cart_eval_matrix_matches_pointwise_stencils(n):
 def test_interpolation_rejects_non_finite_points(st):
     # a NaN must not turn into a zero row: on either axis, the interpolated
     # window data refuses it
-    from weinstein.wavelets import _cart_eval_matrix
+    from weinstein.translation import _cart_eval_matrix
     g, plan, kern, sg, pair = st
     w = Window(field=pair.phi.field, freq_profile=None)
     for bad in (np.nan, np.inf, -np.inf):
@@ -382,8 +382,7 @@ def test_interpolated_freq_data_matches_pointwise_route(d, n, m):
 def test_freq_data_gathered_rows_match_ungathered(d, n, m):
     # rows built once per distinct coordinate value and gathered give the
     # same values, bit for bit, as one row per point
-    from weinstein.translation import radial_interp_matrix
-    from weinstein.wavelets import _cart_eval_matrix
+    from weinstein.translation import _cart_eval_matrix, radial_interp_matrix
     g = build_base_grid(0.5, d, n, m)
     plan = build_plan(g)
     w1, _ = default_windows(plan)
