@@ -98,6 +98,7 @@ def cmd_localize(cfg) -> int:
             return 2
         sym = symbols[cfg.symbol]
     L = loc.assemble(pair, sym)
+    print(f"operator structures: {', '.join(L.structures) or 'none'}")
     out = _out_dir(cfg)
     (out / "operator.csv").write_text(matrix_to_csv(L.matrix))
     # bound report: one row per (theorem, p) with the dominance ratio

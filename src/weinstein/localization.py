@@ -15,21 +15,30 @@ shift on the Cartesian lattice, so R is assembled in the lattice spectrum,
 where the sum over the Cartesian node x_c becomes one product per pair of
 frequencies (see ``_assemble_matrix``).
 
-Two exact structures of the inputs are used.  Each is decided from the
-inputs themselves, never from a tolerance test on the matrix:
+Three exact structures of the inputs are used.  Each is decided once at
+assembly from the inputs themselves, never from a tolerance test on the
+matrix:
 
 * real operators: a symbol with zero imaginary part and two windows whose
   frequency data are conjugate-symmetric under the lattice reflection
   x_c -> -x_c, bit for bit, give a real kernel R.  It is assembled from
   half of the lattice spectrum and stored as a float64 matrix, decomposed
   by a real SVD and applied to complex data through one real GEMM;
+* reflection-even operators: a symbol and two windows' frequency data
+  that equal themselves under x_c -> -x_c, bit for bit (the paper's radial
+  windows and Gaussian symbols), give an operator that commutes with the
+  reflection.  Its measure-symmetrized matrix splits into an even and an
+  odd block, decomposed by two SVDs of about half the size.  If it is
+  also real, its spectral factors are real once the symbol is centred on
+  the lattice origin, so each row of the assembly is a real product;
 * multipliers: a symbol exactly constant along x_c (a function of the
   scale and the radial node only, as ``indicator`` and ``scale_only``)
   gives a block-circulant R over the Cartesian lattice, the discrete form
   of the paper's multiplier example.  Its singular values are those of
   the n^d diagonal m x m blocks of its unitary lattice DFT.
 
-Every other input (a complex symbol or window) takes the complex route.
+Every other input (a complex symbol or window that is not even) takes the
+complex route and one dense SVD.
 
 Measured operator norms on the weighted sequence spaces: p = 1 and
 p = inf are the exact induced norms (weighted column and row sums); p = 2
@@ -149,23 +158,35 @@ class LocalizationOperator:
     mu_alpha in z: (L f)(y) = sum_z R(y, z) w_z f(z).  The matrix is the
     assembly of (pair, symbol): float64 for a real operator, complex
     otherwise, and read-only, so its singular values are computed once.
-    Both structure decisions are taken from the inputs at assembly.
+    Every structure decision is taken from the inputs at assembly.
     """
 
     pair: WaveletPair
     symbol: SymbolField
     matrix: np.ndarray = field(init=False, repr=False)
     swapped: bool = False
+    reflection_even: bool = field(init=False, repr=False)
     x_independent: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.matrix = _assemble_matrix(self.pair, self.symbol, self.swapped)
-        self.matrix.flags.writeable = False
+        if self.symbol.grid is not self.pair.scale_grid:
+            raise ValueError("symbol not on the pair's scale grid")
+        self.reflection_even = _reflection_even(self.pair, self.symbol)
         self.x_independent = _x_independent(self.symbol)
+        self.matrix = _assemble_matrix(self.pair, self.symbol, self.swapped,
+                                       self.reflection_even)
+        self.matrix.flags.writeable = False
 
     @property
     def grid(self):
         return self.pair.plan.grid
+
+    @property
+    def structures(self) -> tuple[str, ...]:
+        """Names of the exact input structures the operator's route took."""
+        taken = (not np.iscomplexobj(self.matrix), self.reflection_even, self.x_independent)
+        return tuple(name for name, on in zip(("real", "reflection-even", "x-independent"),
+                                              taken) if on)
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -175,15 +196,20 @@ class LocalizationOperator:
         on y_c - z_c only.  The Cartesian weights are uniform, so M is
         block circulant as well, and the unitary DFT U over the Cartesian
         index makes U M U^H block diagonal: the profile is the sorted union
-        of the singular values of its n^d diagonal m x m blocks.  Otherwise
-        it is one dense SVD of M, in real arithmetic for a real matrix.
+        of the singular values of its n^d diagonal m x m blocks.  Else, if
+        the operator is reflection-even, M commutes with the reflection P
+        and the profile is the sorted union of the singular values of its
+        even and odd blocks (``_reflection_blocks``).  Otherwise it is one
+        dense SVD of M.  Each SVD is in real arithmetic for a real matrix.
         """
-        M = _sym_matrix(self)
         if self.x_independent:
-            sv = -np.sort(-np.linalg.svd(_lattice_blocks(self.grid, M), compute_uv=False),
-                          axis=None)
+            blocks = [_lattice_blocks(self.grid, _sym_matrix(self))]
+        elif self.reflection_even:
+            blocks = _reflection_blocks(self)
         else:
-            sv = np.linalg.svd(M, compute_uv=False)
+            blocks = [_sym_matrix(self)]
+        sv = -np.sort(-np.concatenate([np.linalg.svd(B, compute_uv=False).ravel()
+                                       for B in blocks]))
         sv.flags.writeable = False
         return sv
 
@@ -200,6 +226,18 @@ def _real_operator(pair: WaveletPair, symbol: SymbolField) -> bool:
     r = pair.plan.grid.cart_reflect_index()
     return all(np.array_equal(fd[:, r], fd.conj())
                for fd in (pair.freq_data("phi"), pair.freq_data("psi")))
+
+
+def _reflection_even(pair: WaveletPair, symbol: SymbolField) -> bool:
+    """The operator commutes with the lattice reflection x_c -> -x_c.
+
+    Holds when the symbol values and both windows' frequency data equal
+    themselves under the reflection, bit for bit.  The transform and the
+    translation commute with it, so then every term of R does.
+    """
+    r = pair.plan.grid.cart_reflect_index()
+    return all(np.array_equal(v[:, r], v) for v in
+               (symbol.values, pair.freq_data("phi"), pair.freq_data("psi")))
 
 
 def _x_independent(symbol: SymbolField) -> bool:
@@ -221,7 +259,40 @@ def _lattice_blocks(g, M: np.ndarray) -> np.ndarray:
     return cart_fft(g, T)
 
 
-def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool) -> np.ndarray:
+def _reflection_blocks(L: LocalizationOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of M = S R S, S = diag(sqrt(w)), for a reflection-even L.
+
+    P sends the node (y_c, y_r) to (-y_c, y_r).  Its orthonormal even
+    basis is (e_i + e_Pi)/sqrt 2 for one node i of each pair {i, Pi} and
+    e_i for the fixed points; the odd basis is (e_i - e_Pi)/sqrt 2.  M
+    commutes with P and w is P-invariant, so with t_i = sqrt(w_i) on pairs
+    and sqrt(w_i / 2) on fixed points the blocks are
+
+        even[i, j] = t_i (R[i, j] + R[i, Pj]) t_j,  i, j pairs then fixed points,
+        odd[i, j]  = t_i (R[i, j] - R[i, Pj]) t_j,  i, j pairs,
+
+    gathered from R directly; the blocks between them vanish.
+    """
+    g = L.grid
+    nc, m = g.shape
+    r = g.cart_reflect_index()
+    c = np.arange(nc)
+    pairs = c[c < r]
+    reps = np.concatenate([pairs, c[c == r]])
+    n_even, n_odd = len(reps) * m, len(pairs) * m
+    t = np.sqrt(g.node_weights[reps]).reshape(-1)
+    t[n_odd:] *= np.sqrt(0.5)
+    # whole m x m blocks of R, rows and columns by Cartesian node
+    rows = L.matrix.reshape(nc, m, nc, m)[reps]
+    even = (rows[:, :, reps] + rows[:, :, r[reps]]).reshape(n_even, n_even)
+    odd = (rows[:len(pairs), :, pairs] - rows[:len(pairs), :, r[pairs]]).reshape(n_odd, n_odd)
+    even *= t[:, None] * t
+    odd *= t[:n_odd, None] * t[:n_odd]
+    return even, odd
+
+
+def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
+                     reflection_even: bool) -> np.ndarray:
     """R(y,z) = sum_j w_j sum_x w_x sigma (tau_x psi_a)(y) conj(tau_x phi_a)(z).
 
     The family normalization a^{2 gamma} cancels the scale-measure factor
@@ -244,9 +315,15 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool) -> n
     Cartesian component is at most n//2 are then computed, and the last
     inverse DFT over k is a real one (``irfftn``) that returns a float64
     matrix.  Otherwise every row is computed and R is complex.
+
+    If the real operator is also ``reflection_even``, the window data and
+    D are even about the lattice origin once D is centred there as the
+    windows are, so Gs^, D^ and Ga^ are real and each row is a real
+    product.  Centring D on the origin moves R by n//2 nodes along both
+    Cartesian index sets; the last step rolls it back.  (Uncentred, D^
+    is real only up to the phase e^{-2 pi i p (n//2)/n}, which is not
+    +-1 at odd n.)
     """
-    if symbol.grid is not pair.scale_grid:
-        raise ValueError("symbol not on the pair's scale grid")
     g = pair.plan.grid
     sg = pair.scale_grid
     K = pair.kernel.tensor
@@ -254,37 +331,44 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool) -> n
     nc, m = g.shape
     Jm = sg.scale_points * m
     analysis, synthesis = ("psi", "phi") if swapped else ("phi", "psi")
+    real = _real_operator(pair, symbol)
+    centred = real and reflection_even
 
     def spectrum(data):
-        # (J, n^d, m) window samples -> (n^d, J, m) DFT of them moved to the origin
-        return cart_fft(g, lattice_shift(g, data.transpose(1, 0, 2), 0))
+        # (n^d, J, m) samples moved to the lattice origin -> their DFT over
+        # x_c, real for a real reflection-even operator
+        hat = cart_fft(g, lattice_shift(g, data, 0))
+        return hat.real.copy() if centred else hat
 
-    syn_hat = spectrum(pair.space_data(synthesis))
-    ana_hat = spectrum(np.conj(pair.space_data(analysis)))
+    syn_hat = spectrum(pair.space_data(synthesis).transpose(1, 0, 2))
+    ana_hat = spectrum(np.conj(pair.space_data(analysis)).transpose(1, 0, 2))
     # Ga^[(j, x_r), l, z_r] for every scale, contiguous so that each row's
     # product with D^ reads it in order; Gs^ is contracted per row k below
     Ga = np.ascontiguousarray(np.einsum("xzr,ljr->jxlz", K, ana_hat,
                                         optimize=True)).reshape(Jm, nc, m)
     c = sg.scale_weights * sg.scales ** (2.0 * pair.gamma - sg.measure_power)
-    D = c[:, None, None] * g.node_weights * symbol.values
+    D = (c[:, None, None] * g.node_weights * symbol.values).transpose(1, 0, 2)
     # D^[(j, x_r), p], C-ordered so that a row's product with Ga reshapes as a view
-    D = np.ascontiguousarray(cart_fft(g, D.transpose(1, 0, 2)).reshape(nc, Jm).T)
+    D = np.ascontiguousarray((spectrum(D) if centred else cart_fft(g, D)).reshape(nc, Jm).T)
     k_plus_l = g.cart_sum_index()
-    real = _real_operator(pair, symbol)
     # rows k in C order (the last Cartesian component is k mod n): the half
     # spectrum k_d <= n//2 of a real R, else all
     rows = np.flatnonzero(np.arange(nc) % n <= n // 2) if real else np.arange(nc)
     R = np.empty((len(rows), m, nc, m), dtype=np.complex128)     # [k, y_r, z_c, z_r]
+    DGa = np.empty_like(Ga)     # one buffer for every row's D^[k + l] Ga^ product
     for i, k in enumerate(rows):
         # Gs^[y_r, (j, x_r)] = sum_r K[x_r, y_r, r] syn^[k, j, r]
         Gs = (K @ syn_hat[k].T).transpose(1, 2, 0).reshape(m, Jm)
-        row = Gs @ (D[:, k_plus_l[k], None] * Ga).reshape(Jm, nc * m)
+        row = Gs @ np.multiply(D[:, k_plus_l[k], None], Ga, out=DGa).reshape(Jm, nc * m)
         R[i] = sp_fft.ifftn(row.reshape((m,) + (n,) * d + (m,)), axes=tuple(range(1, d + 1)),
                             overwrite_x=True).reshape(m, nc, m)
     axes = tuple(range(d))
     if real:
         R = sp_fft.irfftn(R.reshape((n,) * (d - 1) + (n // 2 + 1, m, nc, m)),
                           s=(n,) * d, axes=axes, overwrite_x=True)
+        if centred:
+            R = np.roll(R.reshape((n,) * d + (m,) + (n,) * d + (m,)), (n // 2,) * (2 * d),
+                        axis=axes + tuple(range(d + 1, 2 * d + 1)))
     else:
         R = sp_fft.ifftn(R.reshape((n,) * d + (m, nc, m)), axes=axes, overwrite_x=True)
     return R.reshape(nc * m, nc * m)

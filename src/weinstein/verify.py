@@ -472,13 +472,21 @@ def _symbols(sg) -> dict:
     }
 
 
-def operator_exact_checks(st: Stack, rng, tol: dict, pair: WaveletPair) -> list[CheckRow]:
-    """Exact discrete identities (weak/strong, adjoint, rank-one, scaling)."""
+def _shared_operators(pair: WaveletPair) -> dict:
+    """The pair's ``l1_bump``, ``separable`` and ``scale_only`` operators, which
+    the exact, bound and example checks share."""
+    return {name: loc.assemble(pair, s) for name, s in _symbols(pair.scale_grid).items()
+            if name in ("l1_bump", "separable", "scale_only")}
+
+
+def operator_exact_checks(st: Stack, rng, tol: dict,
+                          L: loc.LocalizationOperator) -> list[CheckRow]:
+    """Exact discrete identities (weak/strong, adjoint, rank-one, scaling) of
+    the ``l1_bump`` operator L and of operators of its pair."""
     g = st.grid
     tag = f"alpha{g.alpha:g}"
     rows = []
-    sym = loc.symbol_bump(pair.scale_grid)
-    L = loc.assemble(pair, sym)
+    pair, sym = L.pair, L.symbol
     f = random_field(g, rng)
     h = random_field(g, rng)
     weak = loc.weak_form(pair, sym, f, h)
@@ -499,9 +507,9 @@ def operator_exact_checks(st: Stack, rng, tol: dict, pair: WaveletPair) -> list[
                              - inner_product(f, loc.apply_operator(Ladj, h)))
                          / max(abs(weak), 1e-300),
                          0.0, tol["operator_exact"], mode="abs"))
-    Ldd = loc.adjoint(Ladj)
+    # L** is the conjugate transpose of the assembled matrix(L*)
     rows.append(make_row(f"op.double_adjoint.{tag}", "L** = L",
-                         float(np.max(np.abs(Ldd.matrix - L.matrix))) / scale,
+                         float(np.max(np.abs(Ladj.matrix.conj().T - L.matrix))) / scale,
                          0.0, 1e-12, mode="abs"))
     c = 2.5
     L2x = loc.assemble(pair, loc.SymbolField(sym.grid, c * sym.values,
@@ -564,13 +572,17 @@ def operator_exact_checks(st: Stack, rng, tol: dict, pair: WaveletPair) -> list[
 
 
 def operator_bound_checks(st: Stack, tol: dict, pair_name: str, pair: WaveletPair,
-                          probes: np.ndarray) -> list[CheckRow]:
-    """Norm-bound dominance and singular-value decay across symbol classes."""
+                          probes: np.ndarray, shared: dict | None = None) -> list[CheckRow]:
+    """Norm-bound dominance and singular-value decay across symbol classes.
+
+    Classes in ``shared`` (``_shared_operators``) use the operator there; the
+    others are assembled here, one at a time.
+    """
     g = st.grid
     tag = f"alpha{g.alpha:g}.{pair_name}"
     rows = []
     for name, s in _symbols(pair.scale_grid).items():
-        Ls = loc.assemble(pair, s)
+        Ls = (shared or {}).get(name) or loc.assemble(pair, s)
         for p in (1, 2, np.inf):
             measured = loc.measured_norm(Ls, p)
             bound, btag, _ = loc.theoretical_bound(pair, s, p)
@@ -594,15 +606,17 @@ def operator_bound_checks(st: Stack, tol: dict, pair_name: str, pair: WaveletPai
     return rows
 
 
-def example_checks(st: Stack, rng, tol: dict, pair: WaveletPair) -> list[CheckRow]:
+def example_checks(st: Stack, rng, tol: dict, shared: dict) -> list[CheckRow]:
+    """The paper's examples, on the ``scale_only`` and ``separable`` operators
+    of ``shared`` (``_shared_operators``) and on their pair."""
     g, plan = st.grid, st.plan
     tag = f"alpha{g.alpha:g}"
     rows = []
+    Lc, Lsep = shared["scale_only"], shared["separable"]
+    pair, sym = Lc.pair, Lc.symbol
     sg = pair.scale_grid
 
     # multiplier: scale-only symbol acts as a transform-side multiplier
-    sym = loc.symbol_scale_only(sg)
-    Lc = loc.assemble(pair, sym)
     f = random_even_field(g, rng)
     lhs = loc.apply_operator(Lc, f)
     m = loc.multiplier_symbol(pair, sym.chi)
@@ -656,8 +670,7 @@ def example_checks(st: Stack, rng, tol: dict, pair: WaveletPair) -> list[CheckRo
                          0.0, 1e-14, mode="abs"))
 
     # paracommutator: weak form through the frequency-side kernel
-    sym_sep = loc.symbol_separable(sg)
-    Lsep = loc.assemble(pair, sym_sep)
+    sym_sep = Lsep.symbol
     fpc = random_even_field(g, rng)
     gpc = random_even_field(g, rng)
     lhs_pc = inner_product(loc.apply_operator(Lsep, fpc), gpc)
@@ -777,9 +790,11 @@ def run_verify(config: RunConfig) -> list[CheckRow]:
         probes = loc.probe_matrix(st_op.grid, samples=200, seed=config.seed + 1)
         pair_a = build_pair(st_op.plan, st_op.scale_grid, st_op.kernel)
         pair_b = _second_pair(st_op.plan, st_op.scale_grid, st_op.kernel)
-        rows += operator_exact_checks(st_op, rng, tol, pair_a)
-        rows += operator_bound_checks(st_op, tol, "pairA", pair_a, probes)
+        shared = _shared_operators(pair_a)
+        rows += operator_exact_checks(st_op, rng, tol, shared["l1_bump"])
+        rows += operator_bound_checks(st_op, tol, "pairA", pair_a, probes, shared)
         rows += operator_bound_checks(st_op, tol, "pairB", pair_b, probes)
         if abs(alpha - config.alpha) < 1e-12:
-            rows += example_checks(st_op, rng, tol, pair_a)
+            rows += example_checks(st_op, rng, tol, shared)
+        del shared      # freed before the next alpha assembles its own
     return rows

@@ -40,6 +40,16 @@ def test_localize_subcommand(tmp_path):
     assert (out / "bounds.csv").exists()
 
 
+@pytest.mark.parametrize("symbol, structures", [
+    ("l1_bump", "real, reflection-even"),
+    ("scale_only", "real, reflection-even, x-independent"),
+])
+def test_localize_reports_operator_structures(tmp_path, capsys, symbol, structures):
+    code, _ = run_cli(["localize"], tmp_path, ("--set", f"symbol={symbol}"))
+    assert code == 0
+    assert f"operator structures: {structures}\n" in capsys.readouterr().out
+
+
 def test_config_error_exit_code(tmp_path):
     code = main(["--set", "alpha=-0.9", "transform"])
     assert code == 2
@@ -152,6 +162,24 @@ def test_verify_rejects_bad_window_csv(tmp_path, capsys, defect):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not (out / "report.csv").exists()
+
+
+def test_localize_reports_uneven_csv_symbol(tmp_path, capsys):
+    # a real symbol centred off the origin is not reflection-even: the
+    # operator stays real, on the plain real route
+    import numpy as np
+    from weinstein.grids import build_base_grid, build_scale_grid
+    from weinstein.report import scale_field_to_csv
+    g = build_base_grid(0.5, 1, 12, 12)
+    sg = build_scale_grid(g, 1 / 16, 16.0, 8)
+    x = g.nodes()[:, 0].reshape(g.shape)
+    vals = np.exp(-np.log(sg.scales)[:, None, None] ** 2 - (x[None] - 0.5) ** 2)
+    sfile = tmp_path / "symbol.csv"
+    sfile.write_text(scale_field_to_csv(sg, vals))
+    code = main(["localize", *TINY, "--set", f"symbol=csv:{sfile}",
+                 "--set", f"out_dir={tmp_path / 'loc'}"])
+    assert code == 0
+    assert "operator structures: real\n" in capsys.readouterr().out
 
 
 def test_localize_rejects_symbol_csv_on_other_scales(tmp_path, capsys):

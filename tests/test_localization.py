@@ -1,5 +1,7 @@
 """Localization operator: exact identities, norms, bounds, examples."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -394,20 +396,29 @@ def test_structure_routes_match_dense_reference(alpha, d, n, m):
             assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0], (sym.declared_class, real)
 
 
-@pytest.mark.parametrize("alpha,d,n,m", [(0.5, 1, 10, 8), (0.5, 1, 11, 8), (0.5, 2, 6, 5)])
+@pytest.mark.parametrize("alpha,d,n,m", [(0.5, 1, 10, 8), (0.5, 1, 11, 8), (0.5, 2, 10, 4),
+                                         (0.5, 2, 11, 4), (0.5, 2, 6, 5)])
 def test_real_assembly_matches_complex_assembly(alpha, d, n, m, monkeypatch):
+    # the real reflection-even route (real spectra, D centred on the origin,
+    # R rolled back) and the plain real route against the complex assembly;
+    # odd n is where an uncentred D would show
     pair = _small_pair(alpha, d, n, m)
     sym = loc.symbol_bump(pair.scale_grid)
     g = pair.plan.grid
     rng = np.random.default_rng(11)
     f = random_field(g, rng)
     probes = loc.probe_matrix(g, samples=7, seed=12)
+    even = [loc.LocalizationOperator(pair=pair, symbol=sym, swapped=s) for s in (False, True)]
+    assert all(L.structures == ("real", "reflection-even") for L in even)
+    monkeypatch.setattr(loc, "_reflection_even", lambda pair, symbol: False)
     real = [loc.LocalizationOperator(pair=pair, symbol=sym, swapped=s) for s in (False, True)]
     monkeypatch.setattr(loc, "_real_operator", lambda pair, symbol: False)
     full = [loc.LocalizationOperator(pair=pair, symbol=sym, swapped=s) for s in (False, True)]
-    for Lr, Lc in zip(real, full):
-        assert Lr.matrix.dtype == np.float64 and Lc.matrix.dtype == np.complex128
+    for Le, Lr, Lc in zip(even, real, full):
+        assert Le.matrix.dtype == Lr.matrix.dtype == np.float64
+        assert Lc.matrix.dtype == np.complex128
         scale = np.max(np.abs(Lc.matrix))
+        assert np.max(np.abs(Le.matrix - Lc.matrix)) <= 2e-15 * scale
         assert np.max(np.abs(Lr.matrix - Lc.matrix)) <= 2e-15 * scale
         # one real GEMM on the (re, im) view applies the real matrix to complex data
         a, b = loc.apply_operator(Lr, f).values, loc.apply_operator(Lc, f).values
@@ -447,6 +458,112 @@ def test_symbol_off_by_one_ulp_takes_dense_route(monkeypatch):
     assert not loc._x_independent(bent) and not L.x_independent
     sv, ref = loc.singular_value_profile(L), _reference_profile(L)
     assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
+
+
+def _no_split(L):
+    raise AssertionError("even/odd split taken for an operator that is not reflection-even")
+
+
+def _no_dense(L):
+    raise AssertionError("dense SVD taken for a reflection-even operator")
+
+
+def _assert_profile(L):
+    sv, ref = loc.singular_value_profile(L), _reference_profile(L)
+    assert sv.shape == ref.shape and np.all(np.diff(sv) <= 0)
+    assert np.max(np.abs(sv - ref)) <= 1e-14 * ref[0]
+
+
+def test_symbol_off_evenness_by_one_ulp_takes_plain_real_route(monkeypatch):
+    pair = _small_pair(0.5, 1, 10, 8)
+    bump = loc.symbol_bump(pair.scale_grid)
+    even = loc.assemble(pair, bump)
+    assert even.structures == ("real", "reflection-even")
+    vals = bump.values.real.copy()
+    vals[2, 3, 4] = np.nextafter(vals[2, 3, 4], np.inf)   # node 3 mirrors to node 7
+    bent = loc.SymbolField(pair.scale_grid, vals)
+    assert not loc._reflection_even(pair, bent) and loc._real_operator(pair, bent)
+    monkeypatch.setattr(loc, "_reflection_blocks", _no_split)
+    L = loc.assemble(pair, bent)
+    assert L.structures == ("real",) and L.matrix.dtype == np.float64
+    assert np.max(np.abs(L.matrix - even.matrix)) <= 1e-13 * np.max(np.abs(even.matrix))
+    _assert_profile(L)
+
+
+def test_window_off_evenness_in_one_entry_takes_plain_real_route(monkeypatch):
+    pair = _small_pair(0.5, 1, 11, 8)
+    sym = loc.symbol_bump(pair.scale_grid)
+    even = loc.assemble(pair, sym)
+    # an entry and its mirror get imaginary parts of +-1 ulp of their real
+    # part: still conjugate-symmetric (a real window), no longer even
+    fd = pair.freq_data("phi").copy()
+    c = 2
+    rc = pair.plan.grid.cart_reflect_index()[c]
+    ulp = np.spacing(abs(fd[3, c, 5].real))
+    fd[3, c, 5] += 1j * ulp
+    fd[3, rc, 5] -= 1j * ulp
+    bent = build_pair(pair.plan, pair.scale_grid, pair.kernel)
+    bent._data["phi"] = fd
+    assert loc._real_operator(bent, sym) and not loc._reflection_even(bent, sym)
+    monkeypatch.setattr(loc, "_reflection_blocks", _no_split)
+    L = loc.assemble(bent, sym)
+    assert L.structures == ("real",) and L.matrix.dtype == np.float64
+    assert np.max(np.abs(L.matrix - even.matrix)) <= 1e-13 * np.max(np.abs(even.matrix))
+    _assert_profile(L)
+
+
+def test_off_origin_single_cell_is_real_but_not_even(monkeypatch):
+    pair = _small_pair(0.5, 1, 11, 8)
+    g, sg = pair.plan.grid, pair.scale_grid
+    origin = g.cart_flat_index([0.0])
+    assert loc.assemble(pair, loc.symbol_single_cell(sg, 3, origin, 2)).structures == (
+        "real", "reflection-even")
+    monkeypatch.setattr(loc, "_reflection_blocks", _no_split)
+    L = loc.assemble(pair, loc.symbol_single_cell(sg, 3, origin + 2, 2))
+    assert L.structures == ("real",)
+    _assert_profile(L)
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_complex_even_symbol_splits_its_svd(n, monkeypatch):
+    # a complex symbol that is even keeps the complex assembly, bit for bit
+    # the one of an operator the split does not see, and splits its SVD
+    pair = _small_pair(0.5, 1, n, 8)
+    sym = loc.SymbolField(pair.scale_grid, loc.symbol_bump(pair.scale_grid).values * (1 - 0.6j))
+    L = loc.assemble(pair, sym)
+    assert L.structures == ("reflection-even",) and L.matrix.dtype == np.complex128
+    monkeypatch.setattr(loc, "_reflection_even", lambda pair, symbol: False)
+    assert np.array_equal(loc.assemble(pair, sym).matrix, L.matrix)
+    monkeypatch.setattr(loc, "_sym_matrix", _no_dense)
+    sv = loc.singular_value_profile(L)
+    monkeypatch.undo()
+    ref = _reference_profile(L)
+    assert np.max(np.abs(sv - ref)) <= 1e-14 * ref[0]
+
+
+def test_benchmark_and_battery_routes(monkeypatch):
+    # the benchmark's operators keep their routes at its tiny profile: two
+    # real reflection-even kinds, two complex kinds on the dense route
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import Operators
+    from weinstein.verify import _second_pair, _symbols
+    bench = Operators("tiny", seed=1, work_dir=None)
+    bench.setup()
+    for case in bench.cases.values():
+        for kind, expect in (("l1_bump", ("real", "reflection-even")),
+                             ("separable", ("real", "reflection-even")),
+                             ("l1_bump_modulated", ()), ("phi_modulated", ())):
+            assert loc.assemble(*case[kind]).structures == expect, kind
+    # every symbol of the battery is even, with both of its pairs
+    pair = _small_pair(0.5, 1, 12, 8)
+    g, sg = pair.plan.grid, pair.scale_grid
+    pair_b = _second_pair(pair.plan, sg, pair.kernel)
+    pair_same = WaveletPair(plan=pair.plan, scale_grid=sg, kernel=pair.kernel,
+                            phi=pair.phi, psi=pair.phi)
+    symbols = list(_symbols(sg).values()) + [
+        loc.symbol_single_cell(sg, sg.scale_points // 2, g.cart_flat_index([0.0]), 2)]
+    for pr in (pair, pair_b, pair_same):
+        assert all(loc._reflection_even(pr, s) and loc._real_operator(pr, s) for s in symbols)
 
 
 def test_window_off_symmetry_in_one_entry_takes_complex_route():
@@ -499,5 +616,54 @@ def test_x_independent_symbols_are_block_diagonal(alpha, d, n, m, complex_symbol
     scale = np.max(np.abs(M))
     assert np.max(np.abs(off)) <= 1e-13 * scale
     assert np.max(np.abs(diag - loc._lattice_blocks(g, M))) <= 1e-13 * scale
+    sv, ref = loc.singular_value_profile(L), _reference_profile(L)
+    assert np.max(np.abs(sv - ref)) <= 1e-13 * max(ref[0], 1e-300)
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st_.sampled_from([-0.45, -0.2, 0.0, 0.5, 1.5]), d=st_.sampled_from([1, 2]),
+       n=st_.integers(3, 8), m=st_.integers(2, 5), complex_symbol=st_.booleans(),
+       seed=st_.integers(0, 2**16))
+def test_reflection_even_operators_split_into_even_and_odd(alpha, d, n, m, complex_symbol,
+                                                           seed):
+    # a random symbol made even bit for bit: in the symmetry-adapted basis of
+    # the reflection P, M has no even/odd coupling, its even and odd blocks
+    # are _reflection_blocks, and their singular values are the profile
+    if d == 2:
+        n = min(n, 5)
+    pair = _small_pair(alpha, d, n, m, scales=3)
+    sg, g = pair.scale_grid, pair.plan.grid
+    r = g.cart_reflect_index()
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=sg.shape)
+    if complex_symbol:
+        vals = vals + 1j * rng.normal(size=sg.shape)
+    sym = loc.SymbolField(sg, vals + vals[:, r])
+    L = loc.assemble(pair, sym)
+    assert L.reflection_even and not L.x_independent
+    # orthonormal even and odd bases: pairs {c, Pc} of Cartesian nodes, then
+    # the fixed points, each with every radial node
+    nc, N = g.n_cart, g.n_nodes
+    c = np.arange(nc)
+    E = np.zeros((N, 0))
+    O = np.zeros((N, 0))
+    for cs, sign in ((c[c < r], 1.0), (c[c == r], None), (c[c < r], -1.0)):
+        for ci in cs:
+            B = np.zeros((nc, m, m))
+            B[ci] = np.eye(m)
+            if sign is not None:
+                B[r[ci]] += sign * np.eye(m)
+                B /= np.sqrt(2.0)
+            if sign == -1.0:
+                O = np.hstack([O, B.reshape(N, m)])
+            else:
+                E = np.hstack([E, B.reshape(N, m)])
+    M = loc._sym_matrix(L)
+    scale = np.max(np.abs(M))
+    even, odd = loc._reflection_blocks(L)
+    assert np.max(np.abs(E.T @ M @ O), initial=0.0) <= 1e-13 * scale
+    assert np.max(np.abs(O.T @ M @ E), initial=0.0) <= 1e-13 * scale
+    assert np.max(np.abs(E.T @ M @ E - even)) <= 1e-13 * scale
+    assert np.max(np.abs(O.T @ M @ O - odd), initial=0.0) <= 1e-13 * scale
     sv, ref = loc.singular_value_profile(L), _reference_profile(L)
     assert np.max(np.abs(sv - ref)) <= 1e-13 * max(ref[0], 1e-300)
