@@ -205,6 +205,18 @@ class Field:
     __rmul__ = __mul__
 
 
+def _matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X for complex X of shape (K,) or (K, k) and M of shape (P, K).
+
+    A real M takes one real GEMM on the (re, im) view of X.
+    """
+    if np.iscomplexobj(M):
+        return M @ X
+    X = np.ascontiguousarray(X, dtype=np.complex128)
+    return (M @ X.view(np.float64).reshape(len(X), -1)).view(np.complex128).reshape(
+        (len(M),) + X.shape[1:])
+
+
 def _same_grid(f, g):
     if f.grid is not g.grid:
         raise ValueError("fields live on different grids")

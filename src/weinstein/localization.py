@@ -15,30 +15,31 @@ shift on the Cartesian lattice, so R is assembled in the lattice spectrum,
 where the sum over the Cartesian node x_c becomes one product per pair of
 frequencies (see ``_assemble_matrix``).
 
-Three exact structures of the inputs are used.  Each is decided once at
-assembly from the inputs themselves, never from a tolerance test on the
-matrix:
+Three exact structures of the inputs pick cheaper routes.  One function,
+``_structures``, decides them once per operator from the inputs, bit for
+bit, never from a tolerance test on the matrix; the assembly and the SVD
+read that one result:
 
-* real operators: a symbol with zero imaginary part and two windows whose
+* "real": a symbol with zero imaginary part and two windows whose
   frequency data are conjugate-symmetric under the lattice reflection
-  x_c -> -x_c, bit for bit, give a real kernel R.  It is assembled from
-  half of the lattice spectrum and stored as a float64 matrix, decomposed
-  by a real SVD and applied to complex data through one real GEMM;
-* reflection-even operators: a symbol and two windows' frequency data
-  that equal themselves under x_c -> -x_c, bit for bit (the paper's radial
-  windows and Gaussian symbols), give an operator that commutes with the
-  reflection.  Its measure-symmetrized matrix splits into an even and an
-  odd block, decomposed by two SVDs of about half the size.  If it is
-  also real, its spectral factors are real once the symbol is centred on
-  the lattice origin, so each row of the assembly is a real product;
-* multipliers: a symbol exactly constant along x_c (a function of the
-  scale and the radial node only, as ``indicator`` and ``scale_only``)
-  gives a block-circulant R over the Cartesian lattice, the discrete form
-  of the paper's multiplier example.  Its singular values are those of
-  the n^d diagonal m x m blocks of its unitary lattice DFT.
+  x_c -> -x_c give a real kernel R.  It is assembled from half of the
+  lattice spectrum and stored as a float64 matrix, decomposed by a real
+  SVD and applied to complex data through one real GEMM;
+* "reflection-even": a symbol and two windows' frequency data that equal
+  themselves under x_c -> -x_c (the paper's radial windows and Gaussian
+  symbols) give an operator that commutes with the reflection.  Its
+  measure-symmetrized matrix splits into an even and an odd block,
+  decomposed by two SVDs of about half the size.  If it is also real, its
+  spectral factors are real once the symbol is centred on the lattice
+  origin, so each row of the assembly is a real product;
+* "x-independent": a symbol constant along x_c (a function of the scale
+  and the radial node only, as ``indicator`` and ``scale_only``) gives a
+  block-circulant R over the Cartesian lattice, the discrete form of the
+  paper's multiplier example.  Its singular values are those of the n^d
+  diagonal m x m blocks of its unitary lattice DFT.
 
-Every other input (a complex symbol or window that is not even) takes the
-complex route and one dense SVD.
+An operator with none of them (a complex symbol or window that is not
+even) takes the complex assembly and one dense SVD.
 
 Measured operator norms on the weighted sequence spaces: p = 1 and
 p = inf are the exact induced norms (weighted column and row sums); p = 2
@@ -52,7 +53,7 @@ Norm bounds implemented (sigma in L^1(X) unless noted):
   interp    ||phi||_1^{1/q} ||psi||_1^{1/p} ||phi||_inf^{1/p} ||psi||_inf^{1/q} ||sigma||_1
   holder    ||phi||_q ||psi||_p ||sigma||_1
   schur     max(||phi||_1 ||psi||_inf, ||phi||_inf ||psi||_1) ||sigma||_1
-  lr(r)     K1^t K2^{1-t} ||sigma||_{L^r(X)},  p in [r, r'], r in [1, 2],
+  lr(r)     K1^t K2^{1-t} ||sigma||_{L^r(X)},  p in [r, r'], r in {1, 1.5, 2},
             K1 = (||phi||_inf ||psi||_1)^{2/r-1} (sqrt(C_phi C_psi)||phi||_2 ||psi||_2)^{1/r'},
             K2 with the window roles swapped, t/r + (1-t)/r' = 1/p.
 """
@@ -65,11 +66,11 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sp_fft
 
-from .grids import Field, ScaleField, ScaleGrid, lp_norm, scale_lp_norm
+from .grids import Field, ScaleField, ScaleGrid, _matmul, lp_norm, scale_lp_norm
 from .probes import random_fields
 from .transform import forward, inverse
 from .translation import cart_fft, lattice_shift
-from .wavelets import WaveletPair, cwt
+from .wavelets import WaveletPair, cwt, eval_freq_data
 
 
 @dataclass
@@ -77,15 +78,13 @@ class SymbolField:
     """Symbol sigma on a ScaleGrid with a declared class.
 
     For separable classes the factors are stored and the value array is
-    their product; ``lr_exponent`` records the L^r class when relevant.
-    The values are a read-only complex128 copy, so an assembled operator
-    keeps the data its route was decided from.
+    their product.  The values are a read-only complex128 copy, so an
+    assembled operator keeps the data its route was decided from.
     """
 
     grid: ScaleGrid
     values: np.ndarray
     declared_class: str = "l1_bump"
-    lr_exponent: float | None = None
     chi: np.ndarray | None = None     # (J,) scale factor, separable classes
     zeta: np.ndarray | None = None    # (n^d, m) space factor
 
@@ -158,53 +157,45 @@ class LocalizationOperator:
     mu_alpha in z: (L f)(y) = sum_z R(y, z) w_z f(z).  The matrix is the
     assembly of (pair, symbol): float64 for a real operator, complex
     otherwise, and read-only, so its singular values are computed once.
-    Every structure decision is taken from the inputs at assembly.
+    ``structures`` names the exact input structures (``_structures``) that
+    picked its routes.
     """
 
     pair: WaveletPair
     symbol: SymbolField
     matrix: np.ndarray = field(init=False, repr=False)
     swapped: bool = False
-    reflection_even: bool = field(init=False, repr=False)
-    x_independent: bool = field(init=False, repr=False)
+    structures: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         if self.symbol.grid is not self.pair.scale_grid:
             raise ValueError("symbol not on the pair's scale grid")
-        self.reflection_even = _reflection_even(self.pair, self.symbol)
-        self.x_independent = _x_independent(self.symbol)
-        self.matrix = _assemble_matrix(self.pair, self.symbol, self.swapped,
-                                       self.reflection_even)
+        self.structures = _structures(self.pair, self.symbol)
+        self.matrix = _assemble_matrix(self.pair, self.symbol, self.swapped, self.structures)
         self.matrix.flags.writeable = False
 
     @property
     def grid(self):
         return self.pair.plan.grid
 
-    @property
-    def structures(self) -> tuple[str, ...]:
-        """Names of the exact input structures the operator's route took."""
-        taken = (not np.iscomplexobj(self.matrix), self.reflection_even, self.x_independent)
-        return tuple(name for name, on in zip(("real", "reflection-even", "x-independent"),
-                                              taken) if on)
-
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Decreasing singular values of the measure-symmetrized matrix M (read-only).
 
-        If the symbol values are exactly constant along x_c, R(y, z) depends
-        on y_c - z_c only.  The Cartesian weights are uniform, so M is
-        block circulant as well, and the unitary DFT U over the Cartesian
-        index makes U M U^H block diagonal: the profile is the sorted union
-        of the singular values of its n^d diagonal m x m blocks.  Else, if
-        the operator is reflection-even, M commutes with the reflection P
-        and the profile is the sorted union of the singular values of its
-        even and odd blocks (``_reflection_blocks``).  Otherwise it is one
-        dense SVD of M.  Each SVD is in real arithmetic for a real matrix.
+        The route is read from ``structures``.  For an x-independent symbol
+        R(y, z) depends on y_c - z_c only; the Cartesian weights are
+        uniform, so M is block circulant as well, and the unitary DFT U over
+        the Cartesian index makes U M U^H block diagonal: the profile is the
+        sorted union of the singular values of its n^d diagonal m x m blocks
+        (``_lattice_blocks``).  Else a reflection-even M commutes with the
+        reflection P, and the profile is the sorted union of the singular
+        values of its even and odd blocks (``_reflection_blocks``).
+        Otherwise it is one dense SVD of M.  Each SVD is in real arithmetic
+        for a real matrix.
         """
-        if self.x_independent:
-            blocks = [_lattice_blocks(self.grid, _sym_matrix(self))]
-        elif self.reflection_even:
+        if "x-independent" in self.structures:
+            blocks = [_lattice_blocks(self)]
+        elif "reflection-even" in self.structures:
             blocks = _reflection_blocks(self)
         else:
             blocks = [_sym_matrix(self)]
@@ -214,49 +205,46 @@ class LocalizationOperator:
         return sv
 
 
-def _real_operator(pair: WaveletPair, symbol: SymbolField) -> bool:
-    """R is real: the symbol is real and both windows are real in space.
+def _structures(pair: WaveletPair, symbol: SymbolField) -> tuple[str, ...]:
+    """The exact input structures of L_{sigma, phi, psi}, in route order.
 
-    A window is real in space iff its frequency data are conjugate-symmetric
-    under the lattice reflection x_c -> -x_c.  Both tests are exact, on the
-    stored data.
-    """
-    if np.any(symbol.values.imag):
-        return False
-    r = pair.plan.grid.cart_reflect_index()
-    return all(np.array_equal(fd[:, r], fd.conj())
-               for fd in (pair.freq_data("phi"), pair.freq_data("psi")))
+    With P the lattice reflection x_c -> -x_c, each test is exact, on the
+    stored data:
 
-
-def _reflection_even(pair: WaveletPair, symbol: SymbolField) -> bool:
-    """The operator commutes with the lattice reflection x_c -> -x_c.
-
-    Holds when the symbol values and both windows' frequency data equal
-    themselves under the reflection, bit for bit.  The transform and the
-    translation commute with it, so then every term of R does.
+    * "real": the symbol has zero imaginary part and both windows are real
+      in space, i.e. their frequency data fd satisfy fd o P = conj(fd);
+    * "reflection-even": the symbol values v and both fd satisfy
+      v o P = v and fd o P = fd.  The transform and the translation commute
+      with P, so then every term of R does;
+    * "x-independent": the symbol values are constant along x_c.
     """
     r = pair.plan.grid.cart_reflect_index()
-    return all(np.array_equal(v[:, r], v) for v in
-               (symbol.values, pair.freq_data("phi"), pair.freq_data("psi")))
-
-
-def _x_independent(symbol: SymbolField) -> bool:
-    """The symbol values are exactly constant along the Cartesian node x_c."""
     v = symbol.values
-    return bool(np.all(v == v[:, :1]))
+    windows = [(fd, fd[:, r]) for fd in (pair.freq_data("phi"), pair.freq_data("psi"))]
+    real = not np.any(v.imag) and all(np.array_equal(fr, fd.conj()) for fd, fr in windows)
+    even = np.array_equal(v[:, r], v) and all(np.array_equal(fr, fd) for fd, fr in windows)
+    taken = (real, even, bool(np.all(v == v[:, :1])))
+    return tuple(name for name, on in zip(("real", "reflection-even", "x-independent"), taken)
+                 if on)
 
 
-def _lattice_blocks(g, M: np.ndarray) -> np.ndarray:
+def _lattice_blocks(L: LocalizationOperator) -> np.ndarray:
     """(n^d, m, m) diagonal blocks of U M U^H, U the unitary DFT over the Cartesian index.
 
     Block k = n^{-d} sum_{y_c, z_c} e^{-2 pi i <k, y_c - z_c>/n} M[y_c, z_c]
     is the DFT over the lattice offset c = y_c - z_c of the mean of the
-    m x m blocks M[z_c + c, z_c].
+    m x m blocks M[z_c + c, z_c].  The blocks are gathered from R and scaled
+    by sqrt(w) in place, (s_y R) s_z as in ``_sym_matrix``.
     """
+    g = L.grid
     nc, m = g.shape
-    # flat index of z_c + c, offsets c down the rows, nodes z_c along the columns
-    T = M.reshape(nc, m, nc, m)[g.cart_sum_index(), :, np.arange(nc), :].mean(axis=1)
-    return cart_fft(g, T)
+    s = np.sqrt(g.node_weights)
+    c_plus_z = g.cart_sum_index()
+    # [c, z_c, y_r, z_r]: flat index of z_c + c down the offsets c, nodes z_c across
+    T = L.matrix.reshape(nc, m, nc, m)[c_plus_z, :, np.arange(nc), :]
+    T *= s[c_plus_z][..., None]
+    T *= s[None, :, None, :]
+    return cart_fft(g, T.mean(axis=1))
 
 
 def _reflection_blocks(L: LocalizationOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +280,7 @@ def _reflection_blocks(L: LocalizationOperator) -> tuple[np.ndarray, np.ndarray]
 
 
 def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
-                     reflection_even: bool) -> np.ndarray:
+                     structures: tuple[str, ...]) -> np.ndarray:
     """R(y,z) = sum_j w_j sum_x w_x sigma (tau_x psi_a)(y) conj(tau_x phi_a)(z).
 
     The family normalization a^{2 gamma} cancels the scale-measure factor
@@ -309,14 +297,14 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
     (j, x_r) followed by an inverse DFT over l; a last inverse DFT over k
     gives R.  The cost is J n^{2d} m^3, not J (n^d m)^3.
 
-    If ``_real_operator`` holds (a real symbol, and both windows' frequency
-    data conjugate-symmetric under the lattice reflection, bit for bit),
-    R is real and R^[-k, -l] = conj R^[k, l].  Only the rows k whose last
-    Cartesian component is at most n//2 are then computed, and the last
-    inverse DFT over k is a real one (``irfftn``) that returns a float64
-    matrix.  Otherwise every row is computed and R is complex.
+    If the operator is "real" (``_structures``: a real symbol, and both
+    windows' frequency data conjugate-symmetric under the lattice
+    reflection), R is real and R^[-k, -l] = conj R^[k, l].  Only the rows
+    k whose last Cartesian component is at most n//2 are then computed,
+    and the last inverse DFT over k is a real one (``irfftn``) that returns
+    a float64 matrix.  Otherwise every row is computed and R is complex.
 
-    If the real operator is also ``reflection_even``, the window data and
+    If the real operator is also "reflection-even", the window data and
     D are even about the lattice origin once D is centred there as the
     windows are, so Gs^, D^ and Ga^ are real and each row is a real
     product.  Centring D on the origin moves R by n//2 nodes along both
@@ -331,8 +319,8 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
     nc, m = g.shape
     Jm = sg.scale_points * m
     analysis, synthesis = ("psi", "phi") if swapped else ("phi", "psi")
-    real = _real_operator(pair, symbol)
-    centred = real and reflection_even
+    real = "real" in structures
+    centred = real and "reflection-even" in structures
 
     def spectrum(data):
         # (n^d, J, m) samples moved to the lattice origin -> their DFT over
@@ -386,19 +374,10 @@ def apply_operator(L: LocalizationOperator, f: Field) -> Field:
     return Field(L.grid, out.reshape(L.grid.shape))
 
 
-def _matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ X for complex X; a real M takes one real GEMM on the (re, im) view of X."""
-    if np.iscomplexobj(M):
-        return M @ X
-    X = np.ascontiguousarray(X, dtype=np.complex128)
-    return (M @ X.view(np.float64).reshape(len(X), -1)).view(np.complex128).reshape(X.shape)
-
-
 def adjoint(L: LocalizationOperator) -> LocalizationOperator:
     """L* = L_{psi,phi}(conj sigma); matrix equals the mu-weighted conjugate transpose."""
     sym_conj = SymbolField(L.symbol.grid, np.conj(L.symbol.values),
                            declared_class=L.symbol.declared_class,
-                           lr_exponent=L.symbol.lr_exponent,
                            chi=None if L.symbol.chi is None else np.conj(L.symbol.chi),
                            zeta=L.symbol.zeta)
     return LocalizationOperator(pair=L.pair, symbol=sym_conj, swapped=not L.swapped)
@@ -431,13 +410,13 @@ def probe_matrix(grid, samples: int = 200, seed: int = 1234) -> np.ndarray:
     return random_fields(grid, np.random.default_rng(seed), samples)
 
 
-def measured_norm(L: LocalizationOperator, p: float, samples: int = 200,
-                  seed: int = 1234, probes: np.ndarray | None = None) -> float:
+def measured_norm(L: LocalizationOperator, p: float,
+                  probes: np.ndarray | None = None) -> float:
     """Operator norm on L^p(mu_alpha) of the discretized operator.
 
-    Exact for p in {1, 2, inf}; otherwise a lower bound maximized over
-    random Gaussian-class probes (``probes`` columns, or ``samples`` drawn
-    from ``seed``).
+    Exact for p in {1, 2, inf}; otherwise a lower bound maximized over the
+    random Gaussian-class probes in the columns of ``probes``
+    (``probe_matrix``), which such a p requires.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
@@ -449,7 +428,7 @@ def measured_norm(L: LocalizationOperator, p: float, samples: int = 200,
     if p == 2:
         return float(L.singular_values[0])
     if probes is None:
-        probes = probe_matrix(L.grid, samples, seed)
+        raise ValueError(f"the {p}-norm is estimated from probes; pass probe_matrix columns")
     out = _matmul(L.matrix, w[:, None] * probes)
     n_out = np.sum(w[:, None] * np.abs(out) ** p, axis=0) ** (1.0 / p)
     n_in = np.sum(w[:, None] * np.abs(probes) ** p, axis=0) ** (1.0 / p)
@@ -462,6 +441,10 @@ def singular_value_profile(L: LocalizationOperator) -> np.ndarray:
     return L.singular_values
 
 
+#: the L^r classes of the symbol for which the lr(r) bound is evaluated
+_LR_EXPONENTS = (1.0, 1.5, 2.0)
+
+
 def _window_norms(pair: WaveletPair) -> dict:
     out = {}
     for name, win in (("phi", pair.phi), ("psi", pair.psi)):
@@ -469,23 +452,22 @@ def _window_norms(pair: WaveletPair) -> dict:
     return out
 
 
-def theoretical_bound(pair: WaveletPair, symbol: SymbolField, p: float,
-                      r_values: tuple = (1.0, 1.5, 2.0)) -> tuple[float, str, dict]:
+def theoretical_bound(pair: WaveletPair, symbol: SymbolField,
+                      p: float) -> tuple[float, str, dict]:
     """Tightest applicable norm bound with its tag plus every applicable bound.
 
     Raises if no bound applies to the (class, p) combination.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    bounds = all_bounds(pair, symbol, p, r_values)
+    bounds = all_bounds(pair, symbol, p)
     if not bounds:
         raise ValueError(f"no norm bound applies for p={p}")
     tag = min(bounds, key=bounds.get)
     return bounds[tag], tag, bounds
 
 
-def all_bounds(pair: WaveletPair, symbol: SymbolField, p: float,
-               r_values: tuple = (1.0, 1.5, 2.0)) -> dict:
+def all_bounds(pair: WaveletPair, symbol: SymbolField, p: float) -> dict:
     nw = _window_norms(pair)
     phi1, phi2, phiI = nw["phi"][1], nw["phi"][2], nw["phi"][np.inf]
     psi1, psi2, psiI = nw["psi"][1], nw["psi"][2], nw["psi"][np.inf]
@@ -506,9 +488,7 @@ def all_bounds(pair: WaveletPair, symbol: SymbolField, p: float,
     out["holder"] = nphi_q * npsi_p * sig1
     out["schur"] = max(phi1 * psiI, phiI * psi1) * sig1
     cc = np.sqrt(abs(pair.C_phi * pair.C_psi)) * phi2 * psi2
-    for r in r_values:
-        if not 1.0 <= r <= 2.0:
-            continue
+    for r in _LR_EXPONENTS:
         rp = np.inf if r == 1.0 else r / (r - 1.0)
         in_range = (r <= p <= rp) if rp != np.inf else (p >= r)
         if not in_range:
@@ -544,7 +524,6 @@ def paracommutator_kernel(pair: WaveletPair, symbol: SymbolField,
     """
     if symbol.chi is None:
         raise ValueError("paracommutator kernel needs a separable symbol")
-    from .wavelets import eval_freq_data
     sg = pair.scale_grid
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)

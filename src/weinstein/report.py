@@ -12,6 +12,8 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 
 def fmt(x) -> str:
     if isinstance(x, complex):
@@ -60,43 +62,40 @@ def rows_to_csv(rows: list[CheckRow]) -> str:
     return buf.getvalue()
 
 
-def field_to_csv(grid, values) -> str:
-    """Field CSV: columns x_1..x_{d+1}, re, im."""
+def _table_csv(coord_names: list[str], coords, values) -> str:
+    """CSV of one row per value: its coordinates ``coords`` (rows, k), then re, im."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    d = grid.d
-    w.writerow([f"x_{i + 1}" for i in range(d + 1)] + ["re", "im"])
-    pts = grid.nodes()
-    flat = values.reshape(-1)
-    for p, v in zip(pts, flat):
-        w.writerow([fmt(c) for c in p] + [fmt(v.real), fmt(v.imag)])
+    w.writerow(coord_names + ["re", "im"])
+    for c, v in zip(coords.tolist(), values.reshape(-1).tolist()):
+        w.writerow([fmt(x) for x in c] + [fmt(v.real), fmt(v.imag)])
     return buf.getvalue()
+
+
+def _node_names(d: int) -> list[str]:
+    return [f"x_{i + 1}" for i in range(d + 1)]
+
+
+def _scale_rows(scale_grid) -> np.ndarray:
+    """(J n^d m, d + 2) rows (a, x) of a scale-space CSV: scale-major, grid.nodes() order."""
+    nodes = scale_grid.base.nodes()
+    return np.column_stack([np.repeat(scale_grid.scales, len(nodes)),
+                            np.tile(nodes, (scale_grid.scale_points, 1))])
+
+
+def field_to_csv(grid, values) -> str:
+    """Field CSV: columns x_1..x_{d+1}, re, im."""
+    return _table_csv(_node_names(grid.d), grid.nodes(), values)
 
 
 def scale_field_to_csv(scale_grid, values) -> str:
     """Scale-space field CSV: columns a, x_1..x_{d+1}, re, im."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    d = scale_grid.base.d
-    w.writerow(["a"] + [f"x_{i + 1}" for i in range(d + 1)] + ["re", "im"])
-    pts = scale_grid.base.nodes()
-    for j, a in enumerate(scale_grid.scales):
-        flat = values[j].reshape(-1)
-        for p, v in zip(pts, flat):
-            w.writerow([fmt(a)] + [fmt(c) for c in p] + [fmt(v.real), fmt(v.imag)])
-    return buf.getvalue()
+    return _table_csv(["a"] + _node_names(scale_grid.base.d), _scale_rows(scale_grid), values)
 
 
 def matrix_to_csv(matrix) -> str:
     """Operator CSV: columns row, col, re, im."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["row", "col", "re", "im"])
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            v = matrix[i, j]
-            w.writerow([i, j, fmt(v.real), fmt(v.imag)])
-    return buf.getvalue()
+    return _table_csv(["row", "col"], np.indices(matrix.shape).reshape(2, -1).T, matrix)
 
 
 def read_csv_input(selector: str) -> str:
@@ -116,7 +115,6 @@ def _parse_csv(text: str, coords: list[str], expected, what: str):
     ConfigError on a wrong row count, missing column, coordinate mismatch
     (another grid, or another row order) or non-finite value.
     """
-    import numpy as np
     from .config import ConfigError
     rows = list(csv.reader(io.StringIO(text)))
     header, data = (rows[0], rows[1:]) if rows else ([], [])
@@ -147,16 +145,10 @@ def _parse_csv(text: str, coords: list[str], expected, what: str):
 
 def parse_field_csv(grid, text: str):
     """Read a field CSV back onto a grid (rows at grid.nodes(), in that order)."""
-    coords = [f"x_{i + 1}" for i in range(grid.d + 1)]
-    return _parse_csv(text, coords, grid.nodes(), "field").reshape(grid.shape)
+    return _parse_csv(text, _node_names(grid.d), grid.nodes(), "field").reshape(grid.shape)
 
 
 def parse_scale_field_csv(scale_grid, text: str):
     """Read a scale-space CSV back onto a scale grid (scale-major row order)."""
-    import numpy as np
-    base = scale_grid.base
-    coords = ["a"] + [f"x_{i + 1}" for i in range(base.d + 1)]
-    nodes = base.nodes()
-    expected = np.column_stack([np.repeat(scale_grid.scales, len(nodes)),
-                                np.tile(nodes, (scale_grid.scale_points, 1))])
-    return _parse_csv(text, coords, expected, "scale").reshape(scale_grid.shape)
+    coords = ["a"] + _node_names(scale_grid.base.d)
+    return _parse_csv(text, coords, _scale_rows(scale_grid), "scale").reshape(scale_grid.shape)

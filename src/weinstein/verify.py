@@ -10,7 +10,7 @@ symbol classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .translation import (ThetaRule, TranslationKernel, check_translate_fourier,
                           convolve_spectral, lattice_shift, translate)
 from .wavelets import (WaveletPair, admissibility_constant, build_pair, cwt,
                        cwt_convolution_form, check_two_wavelet_parseval, dilate,
-                       family_member, invert_cwt, two_wavelet_constant,
+                       eval_freq_data, family_member, invert_cwt, two_wavelet_constant,
                        window_from_profile)
 
 # built-in tolerances; config tol_* overrides replace nonzero entries
@@ -139,7 +139,7 @@ def kernel_checks(alpha: float, d: int, rng, tol: dict) -> list[CheckRow]:
 # transform checks
 # ---------------------------------------------------------------------------
 
-def transform_checks(st: Stack, rng, tol: dict, n_probes: int = 20) -> list[CheckRow]:
+def transform_checks(st: Stack, rng, tol: dict) -> list[CheckRow]:
     g, plan = st.grid, st.plan
     tag = f"alpha{g.alpha:g}"
     rows = []
@@ -164,7 +164,7 @@ def transform_checks(st: Stack, rng, tol: dict, n_probes: int = 20) -> list[Chec
                          _rel(lin, lin_rhs), 0.0, 1e-12, mode="abs"))
 
     worst_pl, worst_pa = 0.0, 0.0
-    for _ in range(n_probes):
+    for _ in range(20):
         f = random_field(g, rng)
         lhs, rhs = check_plancherel(plan, f)
         worst_pl = max(worst_pl, abs(lhs - rhs) / max(rhs, 1e-300))
@@ -173,10 +173,10 @@ def transform_checks(st: Stack, rng, tol: dict, n_probes: int = 20) -> list[Chec
         den = max(lp_norm(f, 2) * lp_norm(h, 2), 1e-300)
         worst_pa = max(worst_pa, abs(lhs2 - rhs2) / den)
     rows.append(make_row(f"transform.plancherel.{tag}",
-                         f"||F f||_2 = ||f||_2, worst of {n_probes} probes",
+                         "||F f||_2 = ||f||_2, worst of 20 probes",
                          worst_pl, 0.0, tol["transform"], mode="abs"))
     rows.append(make_row(f"transform.parseval.{tag}",
-                         f"<f,g> = <F f, F g>, worst of {n_probes} probes",
+                         "<f,g> = <F f, F g>, worst of 20 probes",
                          worst_pa, 0.0, tol["transform"], mode="abs"))
 
     f = random_field(g, rng)
@@ -407,7 +407,6 @@ def wavelet_checks(st: Stack, rng, tol: dict,
                                  lp_norm(da, p), pred, 1e-2, mode="rel"))
         Fd = forward(plan, da)
         pts = g.nodes() * a_
-        from .wavelets import eval_freq_data
         pred_vals = eval_freq_data(pair.phi, plan, pts).reshape(g.shape)
         num = np.sqrt(np.sum(g.node_weights * np.abs(Fd.values - pred_vals) ** 2))
         den = np.sqrt(np.sum(g.node_weights * np.abs(pred_vals) ** 2))
@@ -479,10 +478,11 @@ def _shared_operators(pair: WaveletPair) -> dict:
             if name in ("l1_bump", "separable", "scale_only")}
 
 
-def operator_exact_checks(st: Stack, rng, tol: dict,
-                          L: loc.LocalizationOperator) -> list[CheckRow]:
+def operator_exact_checks(st: Stack, rng, tol: dict, L: loc.LocalizationOperator,
+                          pair_same: WaveletPair) -> list[CheckRow]:
     """Exact discrete identities (weak/strong, adjoint, rank-one, scaling) of
-    the ``l1_bump`` operator L and of operators of its pair."""
+    the ``l1_bump`` operator L and of operators of its pair and of
+    ``pair_same``, the pair with psi = phi."""
     g = st.grid
     tag = f"alpha{g.alpha:g}"
     rows = []
@@ -520,8 +520,6 @@ def operator_exact_checks(st: Stack, rng, tol: dict,
                          0.0, 1e-12, mode="abs"))
 
     # hermitian for a real symbol with psi = phi
-    pair_same = WaveletPair(plan=pair.plan, scale_grid=pair.scale_grid,
-                            kernel=pair.kernel, phi=pair.phi, psi=pair.phi)
     Lh = loc.assemble(pair_same, sym)
     Wn = pair.plan.grid.node_weights.reshape(-1)
     Hm = np.sqrt(Wn)[:, None] * Lh.matrix * np.sqrt(Wn)[None, :]
@@ -572,7 +570,7 @@ def operator_exact_checks(st: Stack, rng, tol: dict,
 
 
 def operator_bound_checks(st: Stack, tol: dict, pair_name: str, pair: WaveletPair,
-                          probes: np.ndarray, shared: dict | None = None) -> list[CheckRow]:
+                          probes: np.ndarray, shared: dict) -> list[CheckRow]:
     """Norm-bound dominance and singular-value decay across symbol classes.
 
     Classes in ``shared`` (``_shared_operators``) use the operator there; the
@@ -582,7 +580,7 @@ def operator_bound_checks(st: Stack, tol: dict, pair_name: str, pair: WaveletPai
     tag = f"alpha{g.alpha:g}.{pair_name}"
     rows = []
     for name, s in _symbols(pair.scale_grid).items():
-        Ls = (shared or {}).get(name) or loc.assemble(pair, s)
+        Ls = shared.get(name) or loc.assemble(pair, s)
         for p in (1, 2, np.inf):
             measured = loc.measured_norm(Ls, p)
             bound, btag, _ = loc.theoretical_bound(pair, s, p)
@@ -606,9 +604,11 @@ def operator_bound_checks(st: Stack, tol: dict, pair_name: str, pair: WaveletPai
     return rows
 
 
-def example_checks(st: Stack, rng, tol: dict, shared: dict) -> list[CheckRow]:
+def example_checks(st: Stack, rng, tol: dict, shared: dict,
+                   pair_same: WaveletPair) -> list[CheckRow]:
     """The paper's examples, on the ``scale_only`` and ``separable`` operators
-    of ``shared`` (``_shared_operators``) and on their pair."""
+    of ``shared`` (``_shared_operators``), on their pair and on ``pair_same``,
+    the pair with psi = phi."""
     g, plan = st.grid, st.plan
     tag = f"alpha{g.alpha:g}"
     rows = []
@@ -625,8 +625,6 @@ def example_checks(st: Stack, rng, tol: dict, shared: dict) -> list[CheckRow]:
                          "L(chi(a)) f = F^{-1}(m F f), relative L2",
                          _rel(lhs, rhs), 0.0, tol["examples"], mode="abs"))
     # chi = 1, psi = phi: m is the admissibility constant on the analysis band
-    pair_same = WaveletPair(plan=plan, scale_grid=sg, kernel=st.kernel,
-                            phi=pair.phi, psi=pair.phi)
     m1 = loc.multiplier_symbol(pair_same, np.ones(sg.scale_points))
     pts = g.nodes().reshape(g.shape + (g.d + 1,))
     rad = np.sqrt(np.sum(pts**2, axis=-1))
@@ -790,11 +788,13 @@ def run_verify(config: RunConfig) -> list[CheckRow]:
         probes = loc.probe_matrix(st_op.grid, samples=200, seed=config.seed + 1)
         pair_a = build_pair(st_op.plan, st_op.scale_grid, st_op.kernel)
         pair_b = _second_pair(st_op.plan, st_op.scale_grid, st_op.kernel)
+        pair_same = WaveletPair(plan=st_op.plan, scale_grid=st_op.scale_grid,
+                                kernel=st_op.kernel, phi=pair_a.phi, psi=pair_a.phi)
         shared = _shared_operators(pair_a)
-        rows += operator_exact_checks(st_op, rng, tol, shared["l1_bump"])
+        rows += operator_exact_checks(st_op, rng, tol, shared["l1_bump"], pair_same)
         rows += operator_bound_checks(st_op, tol, "pairA", pair_a, probes, shared)
-        rows += operator_bound_checks(st_op, tol, "pairB", pair_b, probes)
+        rows += operator_bound_checks(st_op, tol, "pairB", pair_b, probes, {})
         if abs(alpha - config.alpha) < 1e-12:
-            rows += example_checks(st_op, rng, tol, shared)
+            rows += example_checks(st_op, rng, tol, shared, pair_same)
         del shared      # freed before the next alpha assembles its own
     return rows

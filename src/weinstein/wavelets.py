@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import (BaseGrid, Field, ScaleField, ScaleGrid, inner_product,
+from .grids import (BaseGrid, Field, ScaleField, ScaleGrid, _matmul, inner_product,
                     reflect, scale_inner_product)
 from .translation import (TranslationKernel, _cart_eval_matrix, cart_fft,
                           lattice_shift, radial_interp_matrix)
@@ -121,13 +121,14 @@ def eval_freq_data(window: Window, plan: TransformPlan, pts: np.ndarray) -> np.n
     the radial axis, each built once per distinct coordinate value and
     gathered (scaled nodes hold only n or m of them).  The first Cartesian
     axis is one real GEMM of the rows against the (re, im) pairs of the
-    transform; later axes and the radial axis contract per point.
+    transform (``grids._matmul``); later axes and the radial axis contract
+    per point.
     """
     if window.freq_profile is not None:
         return np.asarray(window.freq_profile(pts), dtype=np.complex128)
     g = plan.grid
     n, m = g.cart_points, g.radial_points
-    Fw = np.ascontiguousarray(forward(plan, window.field).values)
+    Fw = forward(plan, window.field).values
     pts = np.asarray(pts, dtype=float)
     flat = pts.reshape(-1, g.d + 1)
 
@@ -138,8 +139,7 @@ def eval_freq_data(window: Window, plan: TransformPlan, pts: np.ndarray) -> np.n
 
     Rr = rows(radial_interp_matrix, flat[:, g.d])           # [pts, m]
     A = rows(_cart_eval_matrix, flat[:, 0])                 # [pts, n]
-    cur = (A @ Fw.reshape(n, -1).view(np.float64)).view(np.complex128)
-    cur = cur.reshape((len(flat),) + (n,) * (g.d - 1) + (m,))
+    cur = _matmul(A, Fw.reshape(n, -1)).reshape((len(flat),) + (n,) * (g.d - 1) + (m,))
     for ax in range(1, g.d):
         cur = np.einsum("pj,pj...->p...", rows(_cart_eval_matrix, flat[:, ax]), cur)
     vals = np.einsum("pr,pr->p", Rr, cur)
@@ -175,12 +175,11 @@ def dilate(a: float, f: Field) -> Field:
 
 
 def family_member(kernel: TranslationKernel, plan: TransformPlan, window: Window,
-                  a: float, x, taper: np.ndarray | None = None) -> Field:
+                  a: float, x) -> Field:
     """phi_{a,x} = a^{alpha+1+d/2} tau_x phi_a as a grid field."""
     from .translation import translate
     g = plan.grid
-    T = band_taper(g) if taper is None else taper
-    Wd = inverse(plan, Field(g, scaled_window_data(window, plan, a, T)))
+    Wd = inverse(plan, Field(g, scaled_window_data(window, plan, a, band_taper(g))))
     gam = g.alpha + 1.0 + g.d / 2.0
     return a**gam * translate(kernel, x, Wd)
 

@@ -3,7 +3,7 @@
 Runs the complete verification battery (d=1, alphas 0, 0.5, 1.5, n=m=64,
 48 scales, operator profile 32x32x20) plus the two-level convergence
 study, then asserts each criterion's rows and prints one line per
-criterion.  Expect several minutes of runtime.
+criterion.  Expect about 11 s of runtime on a 2-core Xeon.
 """
 
 import pytest

@@ -206,3 +206,31 @@ def test_localize_bound_gate_reads_bound_slack(tmp_path, monkeypatch, slack, exp
     code, out = run_cli(["localize"], tmp_path, ("--set", f"tol_bound_slack={slack}"))
     assert code == expect
     assert "fake,2,1.03" in (out / "bounds.csv").read_text()
+
+
+def test_csv_writers_exact_bytes():
+    # one table writer: the coordinate columns, then re and im, every number
+    # at 17 significant digits (integer-valued ones print as integers)
+    from types import SimpleNamespace
+    import numpy as np
+    from weinstein.report import field_to_csv, matrix_to_csv, scale_field_to_csv
+    nodes = np.array([[-1.0, 0.1], [0.5, 2.0]])
+    grid = SimpleNamespace(d=1, nodes=lambda: nodes)
+    scale_grid = SimpleNamespace(base=grid, scales=np.array([0.5, 4.0]), scale_points=2)
+    assert field_to_csv(grid, np.array([1 / 3, -2.5 + 0.25j])) == (
+        "x_1,x_2,re,im\n"
+        "-1,0.10000000000000001,0.33333333333333331,0\n"
+        "0.5,2,-2.5,0.25\n")
+    assert scale_field_to_csv(scale_grid, np.array([[1, 2j], [3, -0.1]])) == (
+        "a,x_1,x_2,re,im\n"
+        "0.5,-1,0.10000000000000001,1,0\n"
+        "0.5,0.5,2,0,2\n"
+        "4,-1,0.10000000000000001,3,0\n"
+        "4,0.5,2,-0.10000000000000001,0\n")
+    assert matrix_to_csv(np.array([[1.5, -2.0], [-0.0, 1e-20]])) == (
+        "row,col,re,im\n"
+        "0,0,1.5,0\n"
+        "0,1,-2,0\n"
+        "1,0,-0,0\n"
+        "1,1,9.9999999999999995e-21,0\n")
+    assert matrix_to_csv(np.array([[1 - 1j]])) == "row,col,re,im\n0,0,1,-1\n"

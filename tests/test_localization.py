@@ -1,5 +1,6 @@
 """Localization operator: exact identities, norms, bounds, examples."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -261,8 +262,11 @@ def test_theoretical_bound_structure(st):
     # p = 3 lies outside [r, r'] for r = 2 but inside for r = 1.5 and r = 1
     _, _, every3 = loc.theoretical_bound(pair, sym, 3.0)
     assert "lr_r2" not in every3 and "lr_r1.5" in every3 and "lr_r1" in every3
+    L = loc.assemble(pair, sym)
     with pytest.raises(ValueError):
-        loc.measured_norm(loc.assemble(pair, sym), 0.5)
+        loc.measured_norm(L, 0.5)
+    with pytest.raises(ValueError, match="probes"):      # p outside {1, 2, inf} needs them
+        loc.measured_norm(L, 1.5)
 
 
 def test_svd_profile_invariants(st):
@@ -366,6 +370,11 @@ def test_paracommutator_kernel_and_weak_form(st):
 # operator structure: real operators and x-independent symbols
 # ---------------------------------------------------------------------------
 
+def _force(monkeypatch, *structures):
+    """Route every operator assembled from now on by ``structures``."""
+    monkeypatch.setattr(loc, "_structures", lambda pair, symbol: structures)
+
+
 def _reference_profile(L):
     """Dense complex SVD of the measure-symmetrized matrix, whatever the route."""
     return np.linalg.svd(loc._sym_matrix(L).astype(np.complex128), compute_uv=False)
@@ -388,8 +397,8 @@ def test_structure_routes_match_dense_reference(alpha, d, n, m):
     for pr, sym, real, x_indep in cases:
         for swapped in (False, True):
             L = loc.LocalizationOperator(pair=pr, symbol=sym, swapped=swapped)
-            assert loc._real_operator(pr, sym) is real
-            assert L.x_independent is x_indep
+            assert ("real" in L.structures) is real
+            assert ("x-independent" in L.structures) is x_indep
             assert L.matrix.dtype == (np.float64 if real else np.complex128)
             sv, ref = loc.singular_value_profile(L), _reference_profile(L)
             assert sv.shape == ref.shape and np.all(np.diff(sv) <= 0)
@@ -410,9 +419,9 @@ def test_real_assembly_matches_complex_assembly(alpha, d, n, m, monkeypatch):
     probes = loc.probe_matrix(g, samples=7, seed=12)
     even = [loc.LocalizationOperator(pair=pair, symbol=sym, swapped=s) for s in (False, True)]
     assert all(L.structures == ("real", "reflection-even") for L in even)
-    monkeypatch.setattr(loc, "_reflection_even", lambda pair, symbol: False)
+    _force(monkeypatch, "real")
     real = [loc.LocalizationOperator(pair=pair, symbol=sym, swapped=s) for s in (False, True)]
-    monkeypatch.setattr(loc, "_real_operator", lambda pair, symbol: False)
+    _force(monkeypatch)
     full = [loc.LocalizationOperator(pair=pair, symbol=sym, swapped=s) for s in (False, True)]
     for Le, Lr, Lc in zip(even, real, full):
         assert Le.matrix.dtype == Lr.matrix.dtype == np.float64
@@ -436,9 +445,9 @@ def test_symbol_off_by_one_ulp_takes_dense_route(monkeypatch):
     vals = so.values.real.copy()
     vals[2, 3, 4] = np.nextafter(vals[2, 3, 4], np.inf)
     bent = loc.SymbolField(pair.scale_grid, vals)
-    assert not loc._x_independent(bent)
+    assert "x-independent" not in loc._structures(pair, bent)
 
-    def no_blocks(g, M):
+    def no_blocks(L):
         raise AssertionError("block route taken for an x-dependent symbol")
 
     monkeypatch.setattr(loc, "_lattice_blocks", no_blocks)
@@ -454,8 +463,9 @@ def test_symbol_off_by_one_ulp_takes_dense_route(monkeypatch):
     with pytest.raises(ValueError):
         far.values[...] = so.values
     vals[...] = so.values.real
-    assert loc._x_independent(loc.SymbolField(pair.scale_grid, vals))
-    assert not loc._x_independent(bent) and not L.x_independent
+    assert "x-independent" in loc._structures(pair, loc.SymbolField(pair.scale_grid, vals))
+    assert "x-independent" not in loc._structures(pair, bent)
+    assert "x-independent" not in L.structures
     sv, ref = loc.singular_value_profile(L), _reference_profile(L)
     assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
 
@@ -482,7 +492,7 @@ def test_symbol_off_evenness_by_one_ulp_takes_plain_real_route(monkeypatch):
     vals = bump.values.real.copy()
     vals[2, 3, 4] = np.nextafter(vals[2, 3, 4], np.inf)   # node 3 mirrors to node 7
     bent = loc.SymbolField(pair.scale_grid, vals)
-    assert not loc._reflection_even(pair, bent) and loc._real_operator(pair, bent)
+    assert loc._structures(pair, bent) == ("real",)
     monkeypatch.setattr(loc, "_reflection_blocks", _no_split)
     L = loc.assemble(pair, bent)
     assert L.structures == ("real",) and L.matrix.dtype == np.float64
@@ -504,7 +514,7 @@ def test_window_off_evenness_in_one_entry_takes_plain_real_route(monkeypatch):
     fd[3, rc, 5] -= 1j * ulp
     bent = build_pair(pair.plan, pair.scale_grid, pair.kernel)
     bent._data["phi"] = fd
-    assert loc._real_operator(bent, sym) and not loc._reflection_even(bent, sym)
+    assert loc._structures(bent, sym) == ("real",)
     monkeypatch.setattr(loc, "_reflection_blocks", _no_split)
     L = loc.assemble(bent, sym)
     assert L.structures == ("real",) and L.matrix.dtype == np.float64
@@ -532,7 +542,7 @@ def test_complex_even_symbol_splits_its_svd(n, monkeypatch):
     sym = loc.SymbolField(pair.scale_grid, loc.symbol_bump(pair.scale_grid).values * (1 - 0.6j))
     L = loc.assemble(pair, sym)
     assert L.structures == ("reflection-even",) and L.matrix.dtype == np.complex128
-    monkeypatch.setattr(loc, "_reflection_even", lambda pair, symbol: False)
+    _force(monkeypatch)
     assert np.array_equal(loc.assemble(pair, sym).matrix, L.matrix)
     monkeypatch.setattr(loc, "_sym_matrix", _no_dense)
     sv = loc.singular_value_profile(L)
@@ -563,7 +573,7 @@ def test_benchmark_and_battery_routes(monkeypatch):
     symbols = list(_symbols(sg).values()) + [
         loc.symbol_single_cell(sg, sg.scale_points // 2, g.cart_flat_index([0.0]), 2)]
     for pr in (pair, pair_b, pair_same):
-        assert all(loc._reflection_even(pr, s) and loc._real_operator(pr, s) for s in symbols)
+        assert all(loc._structures(pr, s)[:2] == ("real", "reflection-even") for s in symbols)
 
 
 def test_window_off_symmetry_in_one_entry_takes_complex_route():
@@ -579,12 +589,92 @@ def test_window_off_symmetry_in_one_entry_takes_complex_route():
     fd[3, 2, 5] = np.nextafter(fd[3, 2, 5].real, np.inf) + 1j * fd[3, 2, 5].imag
     bent = build_pair(pair.plan, pair.scale_grid, pair.kernel)
     bent._data["psi"] = fd
-    assert loc._real_operator(pair, sym) and not loc._real_operator(bent, sym)
+    assert "real" in loc._structures(pair, sym) and "real" not in loc._structures(bent, sym)
     L = loc.assemble(bent, sym)
     assert L.matrix.dtype == np.complex128
     assert np.max(np.abs(L.matrix - real.matrix)) <= 1e-13 * np.max(np.abs(real.matrix))
     sv, ref = loc.singular_value_profile(L), _reference_profile(L)
     assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
+
+
+def _oracle_structures(pair, symbol):
+    """The three structure predicates, each written out on its own."""
+    r = pair.plan.grid.cart_reflect_index()
+    v = symbol.values
+    fds = (pair.freq_data("phi"), pair.freq_data("psi"))
+    real = not np.any(v.imag) and all(np.array_equal(fd[:, r], np.conj(fd)) for fd in fds)
+    even = all(np.array_equal(a[:, r], a) for a in (v,) + fds)
+    x_indep = bool(np.all(v == v[:, :1]))
+    return tuple(name for name, on in (("real", real), ("reflection-even", even),
+                                        ("x-independent", x_indep)) if on)
+
+
+def _bent_pair(pair, name, fd):
+    """A fresh pair whose ``name`` window has frequency data ``fd``."""
+    bent = build_pair(pair.plan, pair.scale_grid, pair.kernel)
+    bent._data[name] = fd
+    return bent
+
+
+@pytest.mark.parametrize("d,n,m", [(1, 10, 8), (1, 11, 8), (2, 6, 5)])
+def test_structures_match_the_three_predicates(d, n, m):
+    # every route case of this module, the one-ulp breaks included
+    from weinstein.verify import _second_pair, _symbols
+    pair = _small_pair(0.5, d, n, m)
+    g, sg = pair.plan.grid, pair.scale_grid
+    mod = _modulated(pair)
+    so, bump = loc.symbol_scale_only(sg), loc.symbol_bump(sg)
+    cell = (2, 3, 2)
+    bent_so, bent_bump = so.values.real.copy(), bump.values.real.copy()
+    for vals in (bent_so, bent_bump):
+        vals[cell] = np.nextafter(vals[cell], np.inf)
+    c, rc = 2, g.cart_reflect_index()[2]
+    odd_phi = pair.freq_data("phi").copy()      # still conjugate-symmetric, not even
+    ulp = np.spacing(abs(odd_phi[3, c, 2].real))
+    odd_phi[3, c, 2] += 1j * ulp
+    odd_phi[3, rc, 2] -= 1j * ulp
+    asym_psi = pair.freq_data("psi").copy()     # neither
+    asym_psi[3, c, 2] = np.nextafter(asym_psi[3, c, 2].real, np.inf) + 1j * asym_psi[3, c, 2].imag
+    origin = g.cart_flat_index(np.zeros(d))
+    pair_same = WaveletPair(plan=pair.plan, scale_grid=sg, kernel=pair.kernel,
+                            phi=pair.phi, psi=pair.phi)
+    cases = [(pr, s) for pr in (pair, _second_pair(pair.plan, sg, pair.kernel), pair_same)
+             for s in _symbols(sg).values()]
+    cases += [
+        (pair, loc.SymbolField(sg, so.values * (1 - 0.6j))),
+        (pair, loc.SymbolField(sg, bump.values * (1 - 0.6j))),
+        (pair, loc.SymbolField(sg, bump.values * np.exp(0.8j * g.nodes()[:, 0].reshape(g.shape)))),
+        (mod, loc.symbol_indicator(sg)), (mod, bump),
+        (pair, loc.SymbolField(sg, bent_so)), (pair, loc.SymbolField(sg, bent_bump)),
+        (_bent_pair(pair, "phi", odd_phi), bump), (_bent_pair(pair, "psi", asym_psi), bump),
+        (pair, loc.symbol_single_cell(sg, 3, origin, 2)),
+        (pair, loc.symbol_single_cell(sg, 3, origin + 2, 2)),
+    ]
+    seen = set()
+    for pr, sym in cases:
+        expect = _oracle_structures(pr, sym)
+        assert loc._structures(pr, sym) == expect, (sym.declared_class, expect)
+        seen.add(expect)
+    assert seen == {(), ("real",), ("reflection-even",), ("x-independent",),
+                    ("real", "reflection-even"), ("reflection-even", "x-independent"),
+                    ("real", "reflection-even", "x-independent")}
+
+
+def test_block_route_peak_stays_near_the_matrix():
+    # the multiplier route gathers its m x m blocks from R and scales them in
+    # place: no N x N measure-symmetrized copy of R next to the gathered one
+    pair = _small_pair(0.5, 1, 32, 32, scales=20)
+    so = loc.symbol_scale_only(pair.scale_grid)
+    for sym in (so, loc.SymbolField(pair.scale_grid, so.values * (1 - 0.6j))):
+        L = loc.assemble(pair, sym)
+        assert "x-independent" in L.structures
+        tracemalloc.start()
+        try:
+            L.singular_values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * L.matrix.nbytes, (L.matrix.dtype, peak / L.matrix.nbytes)
 
 
 @settings(max_examples=25, deadline=None)
@@ -615,7 +705,7 @@ def test_x_independent_symbols_are_block_diagonal(alpha, d, n, m, complex_symbol
     off[np.arange(nc), np.arange(nc)] = 0.0
     scale = np.max(np.abs(M))
     assert np.max(np.abs(off)) <= 1e-13 * scale
-    assert np.max(np.abs(diag - loc._lattice_blocks(g, M))) <= 1e-13 * scale
+    assert np.max(np.abs(diag - loc._lattice_blocks(L))) <= 1e-13 * scale
     sv, ref = loc.singular_value_profile(L), _reference_profile(L)
     assert np.max(np.abs(sv - ref)) <= 1e-13 * max(ref[0], 1e-300)
 
@@ -640,7 +730,7 @@ def test_reflection_even_operators_split_into_even_and_odd(alpha, d, n, m, compl
         vals = vals + 1j * rng.normal(size=sg.shape)
     sym = loc.SymbolField(sg, vals + vals[:, r])
     L = loc.assemble(pair, sym)
-    assert L.reflection_even and not L.x_independent
+    assert "reflection-even" in L.structures and "x-independent" not in L.structures
     # orthonormal even and odd bases: pairs {c, Pc} of Cartesian nodes, then
     # the fixed points, each with every radial node
     nc, N = g.n_cart, g.n_nodes
