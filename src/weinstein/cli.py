@@ -4,9 +4,17 @@ Subcommands: transform, cwt, localize, verify, convergence.  All accept
 --config PATH (key=value file) and repeatable --set key=value overrides.
 Outputs are CSV files under the configured output directory.
 
+Inputs come from ``verify.config_stack`` and ``verify.config_windows``.
+transform reads window_phi (default: the Gaussian) on the main grid and
+rejects a window_psi; cwt and verify read both windows on the main grid;
+localize reads both windows and the symbol on the operator grid (op_n,
+op_m, op_scales); convergence runs the default windows on boxes of its own
+and rejects window and extent settings.
+
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration error
-(including a CSV input that cannot be read, does not fit the grid or
-holds non-finite values), 3 runtime error.
+(including a setting the command cannot take, or a CSV input that cannot
+be read, does not fit the grid or holds non-finite values, all before any
+output is written), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -19,17 +27,10 @@ import numpy as np
 
 
 def _load_config(args):
-    from .config import ConfigError, RunConfig, apply_overrides, parse_config
-    config_path = getattr(args, "config", None)
-    overrides = getattr(args, "set", None) or []
-    if config_path:
-        text = Path(config_path).read_text()
-        cfg = parse_config(text)
-    else:
-        cfg = RunConfig()
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg.validate()
+    from .config import RunConfig, apply_overrides, parse_config
+    path = getattr(args, "config", None)
+    cfg = parse_config(Path(path).read_text()) if path else RunConfig()
+    return apply_overrides(cfg, getattr(args, "set", None) or [])
 
 
 def _out_dir(cfg) -> Path:
@@ -40,21 +41,20 @@ def _out_dir(cfg) -> Path:
 
 
 def cmd_transform(cfg) -> int:
-    from .grids import Field
+    from .config import ConfigError
     from .probes import gaussian
-    from .report import field_to_csv, parse_field_csv, read_csv_input
+    from .report import field_to_csv
     from .transform import forward, inverse
-    from .verify import build_stack
-    st = build_stack(cfg.alpha, cfg.d, cfg.n, cfg.m, cfg.a_min, cfg.a_max,
-                     cfg.scales, cfg.theta_count, cfg.cart_extent, cfg.radial_extent)
-    out = _out_dir(cfg)
-    if cfg.window_phi.startswith("csv:"):
-        vals = parse_field_csv(st.grid, read_csv_input(cfg.window_phi))
-        f = Field(st.grid, vals)
-    else:
-        f = gaussian(st.grid)
+    from .verify import config_stack, config_windows
+    if cfg.window_psi != "default":
+        raise ConfigError("transform reads one input field, window_phi; window_psi "
+                          f"must be 'default', got {cfg.window_psi!r}")
+    st = config_stack(cfg, cfg.alpha)
+    phi, _ = config_windows(cfg, st.grid)
+    f = gaussian(st.grid) if phi is None else phi.field
     Ff = forward(st.plan, f)
     back = inverse(st.plan, Ff)
+    out = _out_dir(cfg)
     (out / "fields" / "input.csv").write_text(field_to_csv(st.grid, f.values))
     (out / "fields" / "transform.csv").write_text(field_to_csv(st.grid, Ff.values))
     (out / "fields" / "roundtrip.csv").write_text(field_to_csv(st.grid, back.values))
@@ -65,11 +65,10 @@ def cmd_transform(cfg) -> int:
 def cmd_cwt(cfg) -> int:
     from .probes import gaussian
     from .report import scale_field_to_csv
-    from .verify import build_stack
+    from .verify import config_stack, config_windows
     from .wavelets import build_pair, cwt
-    st = build_stack(cfg.alpha, cfg.d, cfg.n, cfg.m, cfg.a_min, cfg.a_max,
-                     cfg.scales, cfg.theta_count, cfg.cart_extent, cfg.radial_extent)
-    pair = build_pair(st.plan, st.scale_grid, st.kernel)
+    st = config_stack(cfg, cfg.alpha)
+    pair = build_pair(st.plan, st.scale_grid, st.kernel, *config_windows(cfg, st.grid))
     f = gaussian(st.grid)
     W = cwt(pair, f, "phi")
     out = _out_dir(cfg)
@@ -81,11 +80,10 @@ def cmd_cwt(cfg) -> int:
 def cmd_localize(cfg) -> int:
     from . import localization as loc
     from .report import matrix_to_csv
-    from .verify import build_stack, _symbols, tolerances
+    from .verify import _symbols, config_stack, config_windows, tolerances
     from .wavelets import build_pair
-    st = build_stack(cfg.alpha, cfg.d, cfg.op_n, cfg.op_m, cfg.a_min, cfg.a_max,
-                     cfg.op_scales, cfg.theta_count)
-    pair = build_pair(st.plan, st.scale_grid, st.kernel)
+    st = config_stack(cfg, cfg.alpha, operators=True)
+    pair = build_pair(st.plan, st.scale_grid, st.kernel, *config_windows(cfg, st.grid))
     if cfg.symbol.startswith("csv:"):
         from .report import parse_scale_field_csv, read_csv_input
         vals = parse_scale_field_csv(st.scale_grid, read_csv_input(cfg.symbol))

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import RunConfig
+from . import localization as loc
+from .config import ConfigError, RunConfig
 from .grids import Field, field_from_function, inner_product, lp_norm
-from .probes import gaussian, mean_zero_probe
+from .probes import gaussian, mean_zero_probe, random_field
 from .report import CheckRow, make_row
 from .transform import forward, inverse
 from .translation import convolve, convolve_spectral
@@ -81,10 +82,6 @@ def _exact_identity_errors(config: RunConfig, level: int) -> dict:
     These are identities of the finite sums themselves; they sit at
     rounding level on every grid (no ratio gate applies).
     """
-    import numpy as np
-    from weinstein import localization as loc
-    from weinstein.grids import inner_product
-    from weinstein.probes import random_field
     k = 2**level
     st = build_stack(config.alpha, config.d, 16 * k, 16 * k, config.a_min,
                      config.a_max, 8 * k, config.theta_count)
@@ -113,9 +110,17 @@ FLOOR = 1e-13
 def run_convergence(config: RunConfig, levels: int = 2) -> list[CheckRow]:
     """Repeat key checks at doubling resolution; gate ratios for quadrature checks.
 
-    A level that exhausts resources yields a flagged partial report instead
-    of aborting the study.
+    The default windows run on self-dual boxes of the study's own, so a config
+    that sets a window or an extent is rejected (ConfigError).  A level that
+    exhausts resources yields a flagged partial report instead of aborting
+    the study.
     """
+    fixed = ("window_phi", "window_psi", "cart_extent", "radial_extent")
+    overridden = [f"{k}={getattr(config, k)!r}" for k in fixed
+                  if getattr(config, k) != getattr(RunConfig, k)]
+    if overridden:
+        raise ConfigError("convergence runs the default windows on self-dual boxes of its "
+                          f"own; it cannot take {', '.join(overridden)}")
     if levels < 2:
         raise ValueError("need at least 2 levels")
     rows: list[CheckRow] = []

@@ -72,6 +72,17 @@ class BaseGrid:
         self._reflect_index = None
         self._sum_index = None
 
+    # -- family normalization exponents ------------------------------------
+    @property
+    def measure_power(self) -> float:
+        """Dilation exponent q = 2 alpha + d + 2: phi_a = a^{-q} phi(./a)."""
+        return 2.0 * self.alpha + self.d + 2.0
+
+    @property
+    def gamma(self) -> float:
+        """Family normalization exponent alpha + 1 + d/2: phi_{a,x} = a^gamma tau_x phi_a."""
+        return self.alpha + 1.0 + self.d / 2.0
+
     # -- shapes and layout -------------------------------------------------
     @property
     def n_cart(self) -> int:
@@ -283,8 +294,8 @@ class ScaleGrid:
 
     @property
     def measure_power(self) -> float:
-        """Exponent q with combined weight w_x w_a a^{-q}: q = 2 alpha + d + 2."""
-        return 2.0 * self.base.alpha + self.base.d + 2.0
+        """Exponent q with combined weight w_x w_a a^{-q} (``BaseGrid.measure_power``)."""
+        return self.base.measure_power
 
     @property
     def combined_weights(self) -> np.ndarray:

@@ -5,7 +5,8 @@ reports are byte-reproducible for a given config and seed.  Transform
 level checks run per alpha on the full grid; wavelet-chain checks run on
 the full grid at the config's alpha; operator-level checks run on the
 reduced profile (op_n, op_m, op_scales) across alphas, window pairs and
-symbol classes.
+symbol classes, and the paper's examples on it at the config's alpha.
+``config_stack`` and ``config_windows`` turn a config into these inputs.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from .config import RunConfig
 from .grids import (Field, build_base_grid, build_scale_grid, inner_product,
                     lp_norm, reflect)
 from .probes import gaussian, random_even_field, random_field
-from .report import CheckRow, make_row
+from .report import CheckRow, make_row, parse_field_csv, read_csv_input
 from .special import weinstein_kernel
 from .transform import (build_plan, check_hausdorff_young, check_parseval,
                         check_plancherel, forward, inverse)
 from .translation import (ThetaRule, TranslationKernel, check_translate_fourier, convolve,
                           convolve_spectral, lattice_shift, translate)
-from .wavelets import (WaveletPair, admissibility_constant, build_pair, cwt,
+from .wavelets import (WaveletPair, Window, admissibility_constant, build_pair, cwt,
                        cwt_convolution_form, check_two_wavelet_parseval, dilate,
                        eval_freq_data, family_member, invert_cwt, two_wavelet_constant,
                        window_from_profile)
@@ -80,6 +81,33 @@ def build_stack(alpha: float, d: int, n: int, m: int, a_min: float, a_max: float
     kernel = TranslationKernel(grid, ThetaRule(alpha, theta_count))
     sg = build_scale_grid(grid, a_min, a_max, scales)
     return Stack(grid=grid, plan=plan, kernel=kernel, scale_grid=sg)
+
+
+def config_stack(config: RunConfig, alpha: float, operators: bool = False) -> Stack:
+    """The stack a run of ``config`` works on at ``alpha``.
+
+    The main grid (n, m, scales) on the configured box, or with ``operators``
+    the operator profile (op_n, op_m, op_scales) on its self-dual box.
+    """
+    if operators:
+        return build_stack(alpha, config.d, config.op_n, config.op_m, config.a_min,
+                           config.a_max, config.op_scales, config.theta_count)
+    return build_stack(alpha, config.d, config.n, config.m, config.a_min, config.a_max,
+                       config.scales, config.theta_count, config.cart_extent,
+                       config.radial_extent)
+
+
+def config_windows(config: RunConfig, grid) -> tuple:
+    """(phi, psi): a Window read from each ``csv:`` setting on ``grid``, None for default.
+
+    ConfigError if a file cannot be read, does not list the nodes of ``grid``
+    in the writers' order or holds non-finite values.  A CSV window carries no
+    frequency profile, so its transform is interpolated.
+    """
+    return tuple(None if sel == "default" else
+                 Window(field=Field(grid, parse_field_csv(grid, read_csv_input(sel))),
+                        name=f"csv_{key}")
+                 for key, sel in (("phi", config.window_phi), ("psi", config.window_psi)))
 
 
 def _rel(f: Field, ref: Field) -> float:
@@ -319,15 +347,13 @@ def convolution_checks(st: Stack, rng, tol: dict) -> list[CheckRow]:
 # ---------------------------------------------------------------------------
 
 def wavelet_checks(st: Stack, rng, tol: dict,
-                   windows: tuple | None = None) -> list[CheckRow]:
+                   windows: tuple = (None, None)) -> list[CheckRow]:
+    """Wavelet-chain checks on the pair of ``windows`` (``config_windows``)."""
     g, plan = st.grid, st.plan
     tag = f"alpha{g.alpha:g}"
     rows = []
-    if windows is None:
-        pair = build_pair(plan, st.scale_grid, st.kernel)
-    else:
-        pair = build_pair(plan, st.scale_grid, st.kernel, windows[0], windows[1])
-    default_pair = windows is None
+    pair = build_pair(plan, st.scale_grid, st.kernel, *windows)
+    default_pair = windows == (None, None)
     C_phi, sp_phi = admissibility_constant(plan, st.scale_grid, pair.phi)
     if default_pair:
         rows.append(make_row(f"adm.value_phi.{tag}",
@@ -398,10 +424,9 @@ def wavelet_checks(st: Stack, rng, tol: dict,
     # dilation identities at representable scales
     for a_ in (0.5, 2.0):
         da = dilate(a_, pair.phi.field)
-        q = 2.0 * g.alpha + g.d + 2.0
         for p in (1, 2, np.inf):
             e = 0.0 if p == np.inf else 1.0 / p
-            pred = a_ ** (q * (e - 1.0)) * lp_norm(pair.phi.field, p)
+            pred = a_ ** (g.measure_power * (e - 1.0)) * lp_norm(pair.phi.field, p)
             rows.append(make_row(f"wav.dilate_norm.a{a_:g}.p{p}.{tag}",
                                  "||phi_a||_p = a^{(2a+d+2)(1/p-1)} ||phi||_p",
                                  lp_norm(da, p), pred, 1e-2, mode="rel"))
@@ -421,10 +446,9 @@ def wavelet_checks(st: Stack, rng, tol: dict,
                              "||phi_{a,x}||_2 <= ||phi||_2",
                              lp_norm(fam, 2), lp_norm(pair.phi.field, 2),
                              tol["slack"], mode="le"))
-        q = 2.0 * g.alpha + g.d + 2.0
         for p in (1, np.inf):
             e = 0.0 if p == np.inf else 1.0 / p
-            pred = a_ ** (q * (e - 0.5)) * lp_norm(pair.phi.field, p)
+            pred = a_ ** (g.measure_power * (e - 0.5)) * lp_norm(pair.phi.field, p)
             rows.append(make_row(f"wav.family_lp.a{a_:g}.p{p}.{tag}",
                                  "||phi_{a,x}||_p <= a^{(2a+d+2)(1/p-1/2)} ||phi||_p",
                                  lp_norm(fam, p), pred, tol["slack"], mode="le"))
@@ -478,15 +502,15 @@ def _shared_operators(pair: WaveletPair) -> dict:
             if name in ("l1_bump", "separable", "scale_only")}
 
 
-def operator_exact_checks(st: Stack, rng, tol: dict, L: loc.LocalizationOperator,
-                          pair_same: WaveletPair) -> list[CheckRow]:
+def operator_exact_checks(L: loc.LocalizationOperator, pair_same: WaveletPair,
+                          rng, tol: dict) -> list[CheckRow]:
     """Exact discrete identities (weak/strong, adjoint, rank-one, scaling) of
     the ``l1_bump`` operator L and of operators of its pair and of
     ``pair_same``, the pair with psi = phi."""
-    g = st.grid
+    pair, sym = L.pair, L.symbol
+    g = pair.plan.grid
     tag = f"alpha{g.alpha:g}"
     rows = []
-    pair, sym = L.pair, L.symbol
     f = random_field(g, rng)
     h = random_field(g, rng)
     weak = loc.weak_form(pair, sym, f, h)
@@ -537,8 +561,8 @@ def operator_exact_checks(st: Stack, rng, tol: dict, L: loc.LocalizationOperator
     L1 = loc.assemble(pair, sym1)
     a_ = float(pair.scale_grid.scales[jmid])
     xpt = np.concatenate([g.cart_coordinates()[ccell], [g.radial_nodes[rcell]]])
-    phi_ax = family_member(st.kernel, pair.plan, pair.phi, a_, xpt)
-    psi_ax = family_member(st.kernel, pair.plan, pair.psi, a_, xpt)
+    phi_ax = family_member(pair.kernel, pair.plan, pair.phi, a_, xpt)
+    psi_ax = family_member(pair.kernel, pair.plan, pair.psi, a_, xpt)
     wcell = (pair.scale_grid.scale_weights[jmid]
              * a_ ** (-pair.scale_grid.measure_power)
              * g.node_weights[ccell, rcell])
@@ -569,15 +593,14 @@ def operator_exact_checks(st: Stack, rng, tol: dict, L: loc.LocalizationOperator
     return rows
 
 
-def operator_bound_checks(st: Stack, tol: dict, pair_name: str, pair: WaveletPair,
-                          probes: np.ndarray, shared: dict) -> list[CheckRow]:
+def operator_bound_checks(pair: WaveletPair, pair_name: str, probes: np.ndarray,
+                          shared: dict, tol: dict) -> list[CheckRow]:
     """Norm-bound dominance and singular-value decay across symbol classes.
 
     Classes in ``shared`` (``_shared_operators``) use the operator there; the
     others are assembled here, one at a time.
     """
-    g = st.grid
-    tag = f"alpha{g.alpha:g}.{pair_name}"
+    tag = f"alpha{pair.plan.grid.alpha:g}.{pair_name}"
     rows = []
     for name, s in _symbols(pair.scale_grid).items():
         Ls = shared.get(name) or loc.assemble(pair, s)
@@ -604,17 +627,16 @@ def operator_bound_checks(st: Stack, tol: dict, pair_name: str, pair: WaveletPai
     return rows
 
 
-def example_checks(st: Stack, rng, tol: dict, shared: dict,
-                   pair_same: WaveletPair) -> list[CheckRow]:
+def example_checks(shared: dict, pair_same: WaveletPair, rng, tol: dict) -> list[CheckRow]:
     """The paper's examples, on the ``scale_only`` and ``separable`` operators
     of ``shared`` (``_shared_operators``), on their pair and on ``pair_same``,
     the pair with psi = phi."""
-    g, plan = st.grid, st.plan
-    tag = f"alpha{g.alpha:g}"
-    rows = []
     Lc, Lsep = shared["scale_only"], shared["separable"]
     pair, sym = Lc.pair, Lc.symbol
-    sg = pair.scale_grid
+    plan, sg = pair.plan, pair.scale_grid
+    g = plan.grid
+    tag = f"alpha{g.alpha:g}"
+    rows = []
 
     # multiplier: scale-only symbol acts as a transform-side multiplier
     f = random_even_field(g, rng)
@@ -645,7 +667,7 @@ def example_checks(st: Stack, rng, tol: dict, shared: dict,
     wpsi = type(pair.psi)(field=(1.0 / npsi) * pair.psi.field,
                           freq_profile=_scale_profile(pair.psi.freq_profile, 1.0 / npsi),
                           name="psi_unit")
-    pairu = WaveletPair(plan=plan, scale_grid=sg, kernel=st.kernel, phi=wphi, psi=wpsi)
+    pairu = WaveletPair(plan=plan, scale_grid=sg, kernel=pair.kernel, phi=wphi, psi=wpsi)
     fu = random_even_field(g, rng)
     gu = random_even_field(g, rng)
     pp = loc.paraproduct(pairu, fu, gu)
@@ -672,7 +694,7 @@ def example_checks(st: Stack, rng, tol: dict, shared: dict,
     fpc = random_even_field(g, rng)
     gpc = random_even_field(g, rng)
     lhs_pc = inner_product(loc.apply_operator(Lsep, fpc), gpc)
-    rhs_pc = _paracommutator_weak(pair, sym_sep, fpc, gpc, st)
+    rhs_pc = _paracommutator_weak(pair, sym_sep, fpc, gpc)
     rows.append(make_row(f"ex.paracommutator_weak.{tag}",
                          "<L(chi zeta) f, g> = double frequency integral with kernel K",
                          abs(lhs_pc - rhs_pc) / max(abs(lhs_pc), 1e-300), 0.0,
@@ -693,7 +715,7 @@ def _scale_profile(profile, c):
     return lambda pts: c * profile(pts)
 
 
-def _paracommutator_weak(pair: WaveletPair, sym, f: Field, g2: Field, st: Stack) -> complex:
+def _paracommutator_weak(pair: WaveletPair, sym, f: Field, g2: Field) -> complex:
     """Discrete double frequency integral
 
     sum_{xi,eta} w_xi w_eta K(xi,eta) (tau_eta F zeta)(xi) F f(xi) conj(F g(eta)).
@@ -723,78 +745,43 @@ def _paracommutator_weak(pair: WaveletPair, sym, f: Field, g2: Field, st: Stack)
 # full battery
 # ---------------------------------------------------------------------------
 
-def _read_config_windows(config: RunConfig) -> dict:
-    """{'phi': values or None, 'psi': ...} of the csv: windows on the main grid.
-
-    Read before any check runs, so a missing file or a CSV from another
-    grid, in another row order or holding non-finite values is rejected
-    (ConfigError) at once.
-    """
-    from .report import parse_field_csv, read_csv_input
-    grid = build_base_grid(config.alpha, config.d, config.n, config.m,
-                           config.cart_extent or None, config.radial_extent or None)
-    return {key: parse_field_csv(grid, read_csv_input(sel))
-            if sel.startswith("csv:") else None
-            for key, sel in (("phi", config.window_phi), ("psi", config.window_psi))}
-
-
-def _config_windows(values: dict, st: Stack):
-    """(phi, psi) Windows from csv: window values, or None for defaults.
-
-    CSV windows carry no analytic frequency profile, so admissibility
-    integrals go through the interpolated transform; a window whose scale
-    integral is not constant in frequency fails the spread checks.
-    """
-    if values["phi"] is None and values["psi"] is None:
-        return None
-    from .wavelets import Window, default_windows
-    windows = dict(zip(("phi", "psi"), default_windows(st.plan)))
-    for key, vals in values.items():
-        if vals is not None:
-            windows[key] = Window(field=Field(st.grid, vals), freq_profile=None,
-                                  name=f"csv_{key}")
-    return windows["phi"], windows["psi"]
-
-
 def run_verify(config: RunConfig) -> list[CheckRow]:
-    """Run every check; row order is fixed by declaration order."""
+    """Run every check; row order is fixed by declaration order.
+
+    The csv: windows are read first (ConfigError before any check runs).  The
+    sweep checks run at every entry of ``alphas``; the wavelet checks (main
+    grid, configured windows) and the examples (operator profile, default
+    pair) run at ``config.alpha``, after the sweep when it is not an entry.
+    """
     tol = tolerances(config)
-    window_values = _read_config_windows(config)
-    rows: list[CheckRow] = []
     alphas = config.alpha_list()
+    st_main = config_stack(config, config.alpha)
+    windows = config_windows(config, st_main.grid)
+    rows: list[CheckRow] = []
     rng = np.random.default_rng(config.seed)
     for alpha in alphas:
         rows += kernel_checks(alpha, config.d, rng, tol)
-
-    def main_stack(alpha):
-        return build_stack(alpha, config.d, config.n, config.m, config.a_min,
-                           config.a_max, config.scales, config.theta_count,
-                           config.cart_extent, config.radial_extent)
-
-    st_main = None
     for alpha in alphas:
-        st = main_stack(alpha)
+        st = st_main if alpha == config.alpha else config_stack(config, alpha)
         rows += transform_checks(st, rng, tol)
         rows += translation_checks(st, rng, tol)
         rows += convolution_checks(st, rng, tol)
-        if alpha == config.alpha:
-            st_main = st
-    if st_main is None:
-        st_main = main_stack(config.alpha)
-    rows += wavelet_checks(st_main, rng, tol, windows=_config_windows(window_values, st_main))
-    for alpha in alphas:
-        st_op = build_stack(alpha, config.d, config.op_n, config.op_m, config.a_min,
-                            config.a_max, config.op_scales, config.theta_count)
-        probes = loc.probe_matrix(st_op.grid, samples=200, seed=config.seed + 1)
+    rows += wavelet_checks(st_main, rng, tol, windows)
+    probes = None
+    for alpha in alphas if config.alpha in alphas else alphas + [config.alpha]:
+        st_op = config_stack(config, alpha, operators=True)
         pair_a = build_pair(st_op.plan, st_op.scale_grid, st_op.kernel)
-        pair_b = _second_pair(st_op.plan, st_op.scale_grid, st_op.kernel)
         pair_same = WaveletPair(plan=st_op.plan, scale_grid=st_op.scale_grid,
                                 kernel=st_op.kernel, phi=pair_a.phi, psi=pair_a.phi)
         shared = _shared_operators(pair_a)
-        rows += operator_exact_checks(st_op, rng, tol, shared["l1_bump"], pair_same)
-        rows += operator_bound_checks(st_op, tol, "pairA", pair_a, probes, shared)
-        rows += operator_bound_checks(st_op, tol, "pairB", pair_b, probes, {})
-        if abs(alpha - config.alpha) < 1e-12:
-            rows += example_checks(st_op, rng, tol, shared, pair_same)
+        if alpha in alphas:
+            if probes is None:      # the probe values do not depend on alpha
+                probes = loc.probe_matrix(st_op.grid, samples=200, seed=config.seed + 1)
+            pair_b = _second_pair(st_op.plan, st_op.scale_grid, st_op.kernel)
+            rows += operator_exact_checks(shared["l1_bump"], pair_same, rng, tol)
+            rows += operator_bound_checks(pair_a, "pairA", probes, shared, tol)
+            rows += operator_bound_checks(pair_b, "pairB", probes, {}, tol)
+        if alpha == config.alpha:
+            rows += example_checks(shared, pair_same, rng, tol)
         del shared      # freed before the next alpha assembles its own
     return rows

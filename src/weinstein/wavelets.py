@@ -36,7 +36,7 @@ import numpy as np
 from .grids import (BaseGrid, Field, ScaleField, ScaleGrid, _matmul, inner_product,
                     reflect, scale_inner_product)
 from .translation import (TranslationKernel, _cart_eval_matrix, cart_fft,
-                          lattice_shift, radial_interp_matrix)
+                          lattice_shift, radial_interp_matrix, translate)
 from .transform import TransformPlan, forward, inverse
 
 #: taper is flat below FLAT * extent and zero above CUT * extent, per axis
@@ -170,18 +170,15 @@ def dilate(a: float, f: Field) -> Field:
     g = f.grid
     v = g.apply_axes(f.values, [_cart_eval_matrix(g, g.cart_axis / a)] * g.d,
                      radial_interp_matrix(g, g.radial_nodes / a))
-    q = 2.0 * g.alpha + g.d + 2.0
-    return Field(g, v * a ** (-q))
+    return Field(g, v * a ** (-g.measure_power))
 
 
 def family_member(kernel: TranslationKernel, plan: TransformPlan, window: Window,
                   a: float, x) -> Field:
     """phi_{a,x} = a^{alpha+1+d/2} tau_x phi_a as a grid field."""
-    from .translation import translate
     g = plan.grid
     Wd = inverse(plan, Field(g, scaled_window_data(window, plan, a, band_taper(g))))
-    gam = g.alpha + 1.0 + g.d / 2.0
-    return a**gam * translate(kernel, x, Wd)
+    return a**g.gamma * translate(kernel, x, Wd)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +273,8 @@ class WaveletPair:
 
     @property
     def gamma(self) -> float:
-        """Family normalization exponent alpha + 1 + d/2."""
-        g = self.plan.grid
-        return g.alpha + 1.0 + g.d / 2.0
+        """Family normalization exponent alpha + 1 + d/2 (``BaseGrid.gamma``)."""
+        return self.plan.grid.gamma
 
     def freq_data(self, which: str) -> np.ndarray:
         """(J, n^d, m) stacked tapered frequency data F(phi)(a_j xi) T(xi)."""

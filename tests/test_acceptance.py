@@ -12,6 +12,8 @@ from weinstein.config import RunConfig
 from weinstein.convergence import run_convergence
 from weinstein.verify import run_verify
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="module")
 def battery():

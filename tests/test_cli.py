@@ -66,7 +66,6 @@ def test_config_file_loading(tmp_path):
     assert code == 0
 
 
-@pytest.mark.slow
 def test_verify_small_fails_six_rows_and_is_deterministic(tmp_path):
     args = ["verify", *TINY, "--set", "alphas=0.5", "--set", "n=32", "--set", "m=32",
             "--set", "scales=24"]
@@ -89,16 +88,24 @@ def test_verify_small_fails_six_rows_and_is_deterministic(tmp_path):
         "ex.multiplier_equivalence", "ex.multiplier_constancy", "ex.paracommutator_diag")]
 
 
+@pytest.mark.slow
 def test_verify_main_alpha_outside_sweep(tmp_path):
     # alpha is not among alphas: the wavelet checks run on a main-grid stack
-    # of their own at alpha, the sweep checks at alphas, and the run passes
+    # of their own at alpha and the paper's examples on an operator-profile
+    # stack of their own at alpha, after the sweep; the other checks run at
+    # alphas.  At the default operator profile the run passes
     out = tmp_path / "out"
-    code = main(["verify", "--set", "op_n=12", "--set", "op_m=12", "--set", "op_scales=8",
-                 "--set", "alphas=0.5", "--set", "alpha=1.5", "--set", f"out_dir={out}"])
+    code = main(["verify", "--set", "alphas=0.5", "--set", "alpha=1.5",
+                 "--set", f"out_dir={out}"])
     assert code == 0
     ids = [row[0] for row in csv.reader(io.StringIO((out / "report.csv").read_text()))]
     assert "translate.mass.alpha0.5" in ids and "wav.inversion.alpha1.5" in ids
     assert not any(i.startswith("wav.") and i.endswith("alpha0.5") for i in ids)
+    assert not any(i.startswith("op.") and "alpha1.5" in i for i in ids)
+    assert ids[-7:] == [f"ex.{c}.alpha1.5" for c in (
+        "multiplier_equivalence", "multiplier_constancy", "paraproduct_lemma",
+        "paraproduct_l1", "paraproduct_zero", "paracommutator_weak", "paracommutator_diag")]
+    assert not any(i.startswith("ex.") for i in ids[:-7])
 
 
 def test_verify_flags_non_admissible_window(tmp_path):
@@ -162,6 +169,91 @@ def test_verify_rejects_bad_window_csv(tmp_path, capsys, defect):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not (out / "report.csv").exists()
+
+
+def _tiny_stack(n, m, scales):
+    # the stacks of TINY: main grid 16/16/12, operator profile 12/12/8
+    from weinstein.verify import build_stack
+    return build_stack(0.5, 1, n, m, 1 / 16, 16.0, scales, 32)
+
+
+@pytest.mark.parametrize("command", ["transform", "cwt", "localize", "verify", "convergence"])
+@pytest.mark.parametrize("key", ["window_phi", "window_psi"])
+def test_every_command_rejects_a_missing_window_file(tmp_path, capsys, command, key):
+    # no command ignores a window setting: a file that is not there is a
+    # configuration error (exit 2) naming it, before any output is written
+    missing = tmp_path / "nonexistent.csv"
+    code, out = run_cli([command], tmp_path, ("--set", f"{key}=csv:{missing}"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(missing) in err
+    assert not out.exists()
+
+
+def test_transform_rejects_a_second_window(tmp_path, capsys):
+    # transform has one input field, window_phi; a window_psi it would not
+    # read is rejected even when the file is a valid field on the main grid
+    from weinstein.probes import gaussian
+    from weinstein.report import field_to_csv
+    g = _tiny_stack(16, 16, 12).grid
+    wfile = tmp_path / "window.csv"
+    wfile.write_text(field_to_csv(g, gaussian(g).values))
+    code, out = run_cli(["transform"], tmp_path, ("--set", f"window_psi=csv:{wfile}"))
+    assert code == 2
+    assert "window_psi must be 'default'" in capsys.readouterr().err
+    assert not out.exists()
+    code, out = run_cli(["transform"], tmp_path, ("--set", f"window_phi=csv:{wfile}"))
+    assert code == 0
+    assert (out / "fields" / "input.csv").read_text() == field_to_csv(g, gaussian(g).values)
+
+
+def test_cwt_reads_the_csv_window(tmp_path):
+    # cwt.csv is W_phi of the Gaussian with phi read from window_phi on the
+    # main grid: here the default psi, which carries no profile once read back
+    from weinstein.probes import gaussian
+    from weinstein.report import field_to_csv, scale_field_to_csv
+    from weinstein.wavelets import Window, build_pair, cwt, default_windows
+    st = _tiny_stack(16, 16, 12)
+    _, psi = default_windows(st.plan)
+    wfile = tmp_path / "window.csv"
+    wfile.write_text(field_to_csv(st.grid, psi.field.values))
+    code, out = run_cli(["cwt"], tmp_path, ("--set", f"window_phi=csv:{wfile}"))
+    assert code == 0
+    pair = build_pair(st.plan, st.scale_grid, st.kernel, Window(field=psi.field))
+    W = cwt(pair, gaussian(st.grid), "phi")
+    assert (out / "fields" / "cwt.csv").read_text() == scale_field_to_csv(st.scale_grid,
+                                                                          W.values)
+
+
+def test_localize_reads_windows_on_the_operator_grid(tmp_path, capsys):
+    # a phi modulated by exp(0.7 i x_1) on the operator grid is neither real
+    # nor reflection-even, so the l1_bump operator takes no cheaper route; the
+    # same window listed on the main grid does not fit and exits 2
+    import numpy as np
+    from weinstein.report import field_to_csv
+    from weinstein.wavelets import default_windows
+    for n, m, scales, expect in ((12, 12, 8, 0), (16, 16, 12, 2)):
+        st = _tiny_stack(n, m, scales)
+        phi, _ = default_windows(st.plan)
+        x1 = st.grid.nodes()[:, 0].reshape(st.grid.shape)
+        wfile = tmp_path / f"window{n}.csv"
+        wfile.write_text(field_to_csv(st.grid, np.exp(0.7j * x1) * phi.field.values))
+        code, out = run_cli(["localize"], tmp_path / f"n{n}",
+                            ("--set", f"window_phi=csv:{wfile}"))
+        assert code == expect
+    captured = capsys.readouterr()
+    assert captured.out.startswith("operator structures: none\n")
+    assert "CSV has 256 rows, expected 144" in captured.err
+
+
+@pytest.mark.parametrize("setting", ["cart_extent=6", "radial_extent=6"])
+def test_convergence_rejects_extents(tmp_path, capsys, setting):
+    # convergence doubles n on self-dual boxes of its own; an extent it
+    # would ignore is a configuration error
+    code, out = run_cli(["convergence"], tmp_path, ("--set", setting))
+    assert code == 2
+    assert f"cannot take {setting}.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_localize_reports_uneven_csv_symbol(tmp_path, capsys):
