@@ -16,6 +16,11 @@ class ConfigError(ValueError):
     pass
 
 
+def alpha_tag(alpha: float) -> str:
+    """The ``alpha<a>`` part of a check id: alpha at 6 significant digits."""
+    return f"alpha{alpha:g}"
+
+
 @dataclass
 class RunConfig:
     alpha: float = 0.5
@@ -74,9 +79,14 @@ class RunConfig:
             v = getattr(self, key)
             if v != "default" and not v.startswith("csv:"):
                 raise ConfigError(f"{key} must be 'default' or 'csv:<path>', got {v!r}")
-        for a in self.alpha_list():
-            if a <= -0.5:
-                raise ConfigError(f"alphas entries must be > -1/2, got {a}")
+        alphas = self.alpha_list()
+        for a in alphas:
+            if not np.isfinite(a) or a <= -0.5:
+                raise ConfigError(f"alphas entries must be finite and > -1/2, got {a}")
+        tags = [alpha_tag(a) for a in alphas]
+        if len(set(tags)) < len(tags):
+            raise ConfigError(f"alphas entries must differ in their check id tag, got "
+                              f"{self.alphas!r} ({', '.join(tags)})")
         return self
 
 

@@ -111,7 +111,8 @@ def run_convergence(config: RunConfig, levels: int = 2) -> list[CheckRow]:
     """Repeat key checks at doubling resolution; gate ratios for quadrature checks.
 
     The default windows run on self-dual boxes of the study's own, so a config
-    that sets a window or an extent is rejected (ConfigError).  A level that
+    that sets a window or an extent is rejected (ConfigError), and so are fewer
+    than 2 levels, which give no ratio to gate.  A level that
     exhausts resources yields a flagged partial report instead of aborting
     the study.
     """
@@ -122,7 +123,7 @@ def run_convergence(config: RunConfig, levels: int = 2) -> list[CheckRow]:
         raise ConfigError("convergence runs the default windows on self-dual boxes of its "
                           f"own; it cannot take {', '.join(overridden)}")
     if levels < 2:
-        raise ValueError("need at least 2 levels")
+        raise ConfigError(f"convergence needs at least 2 levels, got {levels}")
     rows: list[CheckRow] = []
     series = []
     for lv in range(levels):

@@ -1,7 +1,8 @@
 """The verification battery: every identity and bound at configurable scale.
 
-Checks are grouped by module and emitted in a fixed declaration order so
-reports are byte-reproducible for a given config and seed.  Transform
+Each check is declared once in ``CHECKS`` (statement, tolerance, mode); the
+group functions compute its values and emit its rows.  Rows come out in a
+fixed order so reports are byte-reproducible for a given config and seed.  Transform
 level checks run per alpha on the full grid; wavelet-chain checks run on
 the full grid at the config's alpha; operator-level checks run on the
 reduced profile (op_n, op_m, op_scales) across alphas, window pairs and
@@ -16,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import localization as loc
-from .config import RunConfig
+from .config import RunConfig, alpha_tag
 from .grids import (Field, build_base_grid, build_scale_grid, inner_product,
                     lp_norm, reflect)
 from .probes import gaussian, random_even_field, random_field
@@ -48,6 +49,108 @@ TOL = {
     "examples": 3e-2,
     "svd_fraction": 0.25,
     "svd_level": 1e-3,
+    "rounding": 1e-12,
+    "rounding_tight": 1e-14,
+    "symmetry": 1e-6,
+    "dilation": 1e-2,
+    "mollification": 0.2,
+    "paracommutator_diag": 5e-3,
+}
+
+# Every check, in report order: id stem -> (statement, tolerance, mode).  The
+# tolerance is a TOL key, (key, factor) for factor * TOL[key], or None for 0.
+# The mode is make_row's, or "pred" for a row whose group computes the verdict.
+# op.bound statements name p and the tightest bound (btag) of each row.
+CHECKS = {
+    "kernel.bound": ("max(|Lambda(lam,x)| - 1) <= 0", "kernel", "pred"),
+    "kernel.at_zero": ("Lambda(lam, 0) = 1", "kernel", "abs"),
+    "kernel.symmetry": ("Lambda(lam,x) = Lambda(x,lam)", "kernel", "abs"),
+    "kernel.reflection": ("Lambda(lam,-x) = Lambda(-lam,x)", "kernel", "abs"),
+    "transform.gaussian_fixed_point": (
+        "F(exp(-|x|^2/2)) = exp(-|lam|^2/2), relative L2", "transform", "abs"),
+    "transform.roundtrip": (
+        "inverse(forward(f)) = f on the Gaussian, relative L2", "transform", "abs"),
+    "transform.roundtrip_random": (
+        "inverse(forward(f)) = f on a random probe, relative L2", "transform", "abs"),
+    "transform.linearity": ("F(a f + b g) = a F(f) + b F(g)", "rounding", "abs"),
+    "transform.plancherel": ("||F f||_2 = ||f||_2, worst of 20 probes", "transform", "abs"),
+    "transform.parseval": ("<f,g> = <F f, F g>, worst of 20 probes", "transform", "abs"),
+    "transform.hausdorff_young": ("||F f||_q <= ||f||_p, q = p/(p-1)", "slack", "le"),
+    "transform.sup_bound": ("max |F f| <= ||f||_1", "slack", "le"),
+    "transform.conjugation": ("F(conj f) = conj(F(f(-.)))", "exact", "abs"),
+    "transform.reflection": ("F(f)(lam) = F(f(-.))(-lam)", "exact", "abs"),
+    "transform.zero_row": (
+        "sum_x Lambda(x, 0) w_x = sum_x w_x (relative)", "rounding_tight", "abs"),
+    "theta.normalization": (
+        "C_alpha int_0^pi (sin t)^{2a} dt = 1 (raw quadrature)", "exact", "rel"),
+    "translate.identity": ("tau_0 f = f exactly", "rounding", "abs"),
+    "translate.symmetry": (
+        "tau_x f(y) = tau_y f(x) at random node pairs (Gaussian f)", "symmetry", "abs"),
+    "translate.transform_identity": (
+        "F(tau_x f) = Lambda(x,.) F(f), worst relative L2", "transform", "abs"),
+    "translate.mass": ("int tau_x f dmu = int f dmu", "mass", "abs"),
+    "translate.contraction": ("||tau_x f||_p <= ||f||_p", "slack", "le"),
+    "translate.positivity": ("f >= 0 implies min(tau_x f) >= -1e-12", "rounding", "pred"),
+    "conv.transform_identity": ("F(f * g) = F(f) F(g), relative L2", "convolution", "abs"),
+    "conv.commutativity": ("f * g = g * f", "symmetry", "abs"),
+    "conv.direct_vs_spectral": (
+        "quadrature and F^-1(F f F g) routes agree, relative L2", "convolution", "abs"),
+    "conv.l2_product_norm": ("||f * g||_2 = ||F(f) F(g)||_2", "convolution", "rel"),
+    "conv.young": ("||f*g||_r <= ||f||_p ||g||_q", "slack", "le"),
+    "conv.associativity": ("(f*g)*h = f*(g*h)", ("convolution", 2), "abs"),
+    "conv.mollification": ("f * (narrow normalized bump) close to f", "mollification", "abs"),
+    "adm.value_phi": ("C of the |xi|^2 Gaussian profile = 1/2", "adm_value", "abs"),
+    "adm.spread_phi": ("scale integral constant across sampled xi", "adm_spread", "abs"),
+    "adm.value_psi": ("C of the |xi|^4 Gaussian profile = 3", ("adm_value", 6.0), "abs"),
+    "adm.spread_psi": (
+        "scale integral constant across sampled xi (second window)", "adm_spread", "abs"),
+    "adm.value_cross": ("cross constant of the default pair = 1", ("adm_value", 2.0), "abs"),
+    "adm.self_cross_coincide": ("cross constant with psi=phi equals C_phi", "rounding", "abs"),
+    "wav.pipelines_gaussian": (
+        "inner-product and convolution-form transforms agree", "convolution", "abs"),
+    "wav.pipelines_random": ("pipeline agreement on a random even probe", "convolution", "abs"),
+    "wav.linearity": ("W(a f + b g) = a W(f) + b W(g)", "rounding", "abs"),
+    "wav.sup_bound": ("max |W(f)| <= ||f||_2 ||phi||_2", "slack", "le"),
+    "wav.two_wavelet_parseval": ("<W_phi f, W_psi g>_X = C_{phi,psi} <f, g>", "wavelet", "abs"),
+    "wav.inversion": ("synthesis of W_phi(f) over X recovers f (Gaussian)", "wavelet", "abs"),
+    "wav.dilate_norm": ("||phi_a||_p = a^{(2a+d+2)(1/p-1)} ||phi||_p", "dilation", "rel"),
+    "wav.dilate_fourier": ("F(phi_a)(xi) = F(phi)(a xi)", "dilation", "abs"),
+    "wav.family_l2": ("||phi_{a,x}||_2 <= ||phi||_2", "slack", "le"),
+    "wav.family_lp": ("||phi_{a,x}||_p <= a^{(2a+d+2)(1/p-1/2)} ||phi||_p", "slack", "le"),
+    "wav.family_identity": ("phi_{1,0} = phi", "exact", "abs"),
+    "wav.self_localization": (
+        "argmax |W(phi_{1,0})| lies in the cell block at (1, 0)", None, "pred"),
+    "op.weak_strong": (
+        "<L f, g> equals the scale-space weak form exactly", "operator_exact", "abs"),
+    "op.adjoint_matrix": (
+        "matrix(L*) = weighted conjugate transpose of matrix(L)", "operator_exact", "abs"),
+    "op.adjoint_pairing": ("<L f, g> = <f, L* g>", "operator_exact", "abs"),
+    "op.double_adjoint": ("L** = L", "rounding", "abs"),
+    "op.symbol_scaling": ("matrix(c sigma) = c matrix(sigma)", "rounding", "abs"),
+    "op.hermitian": (
+        "real symbol, psi = phi: symmetrized matrix is Hermitian", "operator_exact", "abs"),
+    "op.rank_one_matrix": ("single-cell symbol gives w <.,phi_ax> psi_ax", "rank_one", "abs"),
+    "op.rank_one_norm": (
+        "rank-one operator norm = w ||phi_ax||_2 ||psi_ax||_2", "rank_one", "rel"),
+    "op.rank_one_spectrum": (
+        "single-cell operator has one nonzero singular value", "exact", "abs"),
+    "op.identity_symbol": ("<L_{phi,phi}(1) f, f> = C_phi ||f||_2^2", "examples", "rel"),
+    "op.bound": ("measured {p}-norm <= tightest bound ({btag})", "bound_slack", "le"),
+    "op.bound_lower": (
+        "probe lower bound for the {p}-norm <= bound ({btag})", "bound_slack", "le"),
+    "op.svd_decay": (
+        "normalized singular values below 1e-3 within 25% of spectrum", None, "pred"),
+    "ex.multiplier_equivalence": ("L(chi(a)) f = F^{-1}(m F f), relative L2", "examples", "abs"),
+    "ex.multiplier_constancy": (
+        "chi=1, psi=phi: m = C_phi across the analysis band", "adm_spread", "abs"),
+    "ex.paraproduct_lemma": ("int p(f,g) dmu = C_{phi,psi} <f, g>", "examples", "abs"),
+    "ex.paraproduct_l1": (
+        "||p(f,g)||_1 <= sqrt(C_phi C_psi) ||f||_2 ||g||_2", "slack", "le"),
+    "ex.paraproduct_zero": ("p(0, g) = 0", "rounding_tight", "abs"),
+    "ex.paracommutator_weak": (
+        "<L(chi zeta) f, g> = double frequency integral with kernel K", "examples", "abs"),
+    "ex.paracommutator_diag": (
+        "K(xi, xi) with chi=1, psi=phi reduces to C_phi", "paracommutator_diag", "rel"),
 }
 
 
@@ -59,6 +162,29 @@ def tolerances(config: RunConfig) -> dict:
         if f.name.startswith("tol_") and v > 0:
             t[f.name[len("tol_"):]] = v
     return t
+
+
+def _emitter(tol: dict, alpha: float, pair: str = ""):
+    """(emit, rows): ``emit`` appends to ``rows`` the row of a ``CHECKS`` entry.
+
+    emit(stem, lhs, rhs=0.0, part="", passed=None, **fields) writes the id
+    ``stem[.part].alpha<a>[.pair]``, the statement with ``fields`` filled in,
+    the tolerance resolved against ``tol`` and the entry's mode; a "pred"
+    entry, and only one, takes its verdict from ``passed``.
+    """
+    rows = []
+
+    def emit(stem, lhs, rhs=0.0, part="", passed=None, **fields):
+        statement, spec, mode = CHECKS[stem]
+        if (mode == "pred") != (passed is not None):
+            raise ValueError(f"{stem}: a verdict is passed exactly for a 'pred' check")
+        key, factor = spec if isinstance(spec, tuple) else (spec, None)
+        tolerance = 0.0 if key is None else tol[key] if factor is None else factor * tol[key]
+        check_id = ".".join(filter(None, (stem, part, alpha_tag(alpha), pair)))
+        rows.append(make_row(check_id, statement.format(**fields) if fields else statement,
+                             lhs, rhs, tolerance, passed, mode))
+
+    return emit, rows
 
 
 @dataclass
@@ -138,28 +264,22 @@ def kernel_checks(alpha: float, d: int, rng, tol: dict) -> list[CheckRow]:
     x = rng.normal(scale=3.0, size=(n_pairs, d + 1))
     lam[:, d] = np.abs(lam[:, d])
     x[:, d] = np.abs(x[:, d])
-    tag = f"alpha{alpha:g}"
+    emit, rows = _emitter(tol, alpha)
     K = weinstein_kernel(alpha, d, lam, x)
     excess = float(np.max(np.abs(K) - 1.0))
-    rows = [
-        make_row(f"kernel.bound.{tag}", "max(|Lambda(lam,x)| - 1) <= 0",
-                 excess, 0.0, tol["kernel"], passed=bool(excess <= tol["kernel"])),
-    ]
+    emit("kernel.bound", excess, passed=excess <= tol["kernel"])
     zero = np.zeros(d + 1)
     Kz = weinstein_kernel(alpha, d, lam, np.broadcast_to(zero, lam.shape))
-    rows.append(make_row(f"kernel.at_zero.{tag}", "Lambda(lam, 0) = 1",
-                         float(np.max(np.abs(Kz - 1.0))), 0.0, tol["kernel"], mode="abs"))
+    emit("kernel.at_zero", float(np.max(np.abs(Kz - 1.0))))
     Ksym = weinstein_kernel(alpha, d, x, lam)
-    rows.append(make_row(f"kernel.symmetry.{tag}", "Lambda(lam,x) = Lambda(x,lam)",
-                         float(np.max(np.abs(K - Ksym))), 0.0, tol["kernel"], mode="abs"))
+    emit("kernel.symmetry", float(np.max(np.abs(K - Ksym))))
     xr = x.copy()
     xr[:, :d] *= -1.0
     lr = lam.copy()
     lr[:, :d] *= -1.0
     Krefl = weinstein_kernel(alpha, d, lam, xr)
     Krefl2 = weinstein_kernel(alpha, d, lr, x)
-    rows.append(make_row(f"kernel.reflection.{tag}", "Lambda(lam,-x) = Lambda(-lam,x)",
-                         float(np.max(np.abs(Krefl - Krefl2))), 0.0, tol["kernel"], mode="abs"))
+    emit("kernel.reflection", float(np.max(np.abs(Krefl - Krefl2))))
     return rows
 
 
@@ -169,27 +289,17 @@ def kernel_checks(alpha: float, d: int, rng, tol: dict) -> list[CheckRow]:
 
 def transform_checks(st: Stack, rng, tol: dict) -> list[CheckRow]:
     g, plan = st.grid, st.plan
-    tag = f"alpha{g.alpha:g}"
-    rows = []
+    emit, rows = _emitter(tol, g.alpha)
     G = gaussian(g)
-    rows.append(make_row(f"transform.gaussian_fixed_point.{tag}",
-                         "F(exp(-|x|^2/2)) = exp(-|lam|^2/2), relative L2",
-                         _rel(forward(plan, G), G), 0.0, tol["transform"], mode="abs"))
-    rows.append(make_row(f"transform.roundtrip.{tag}",
-                         "inverse(forward(f)) = f on the Gaussian, relative L2",
-                         _rel(inverse(plan, forward(plan, G)), G), 0.0,
-                         tol["transform"], mode="abs"))
+    emit("transform.gaussian_fixed_point", _rel(forward(plan, G), G))
+    emit("transform.roundtrip", _rel(inverse(plan, forward(plan, G)), G))
     f0 = random_field(g, rng)
-    rows.append(make_row(f"transform.roundtrip_random.{tag}",
-                         "inverse(forward(f)) = f on a random probe, relative L2",
-                         _rel(inverse(plan, forward(plan, f0)), f0), 0.0,
-                         tol["transform"], mode="abs"))
+    emit("transform.roundtrip_random", _rel(inverse(plan, forward(plan, f0)), f0))
     a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
     f1, f2 = random_field(g, rng), random_field(g, rng)
     lin = forward(plan, Field(g, a * f1.values + b * f2.values))
     lin_rhs = Field(g, a * forward(plan, f1).values + b * forward(plan, f2).values)
-    rows.append(make_row(f"transform.linearity.{tag}", "F(a f + b g) = a F(f) + b F(g)",
-                         _rel(lin, lin_rhs), 0.0, 1e-12, mode="abs"))
+    emit("transform.linearity", _rel(lin, lin_rhs))
 
     worst_pl, worst_pa = 0.0, 0.0
     for _ in range(20):
@@ -200,41 +310,25 @@ def transform_checks(st: Stack, rng, tol: dict) -> list[CheckRow]:
         lhs2, rhs2 = check_parseval(plan, f, h)
         den = max(lp_norm(f, 2) * lp_norm(h, 2), 1e-300)
         worst_pa = max(worst_pa, abs(lhs2 - rhs2) / den)
-    rows.append(make_row(f"transform.plancherel.{tag}",
-                         "||F f||_2 = ||f||_2, worst of 20 probes",
-                         worst_pl, 0.0, tol["transform"], mode="abs"))
-    rows.append(make_row(f"transform.parseval.{tag}",
-                         "<f,g> = <F f, F g>, worst of 20 probes",
-                         worst_pa, 0.0, tol["transform"], mode="abs"))
+    emit("transform.plancherel", worst_pl)
+    emit("transform.parseval", worst_pa)
 
     f = random_field(g, rng)
     for p in (1.0, 1.5, 2.0):
-        lhs, rhs = check_hausdorff_young(plan, f, p)
-        rows.append(make_row(f"transform.hausdorff_young.p{p:g}.{tag}",
-                             "||F f||_q <= ||f||_p, q = p/(p-1)",
-                             lhs, rhs, tol["slack"], mode="le"))
+        emit("transform.hausdorff_young", *check_hausdorff_young(plan, f, p), part=f"p{p:g}")
     Ff = forward(plan, f)
-    rows.append(make_row(f"transform.sup_bound.{tag}", "max |F f| <= ||f||_1",
-                         lp_norm(Ff, np.inf), lp_norm(f, 1), tol["slack"], mode="le"))
+    emit("transform.sup_bound", lp_norm(Ff, np.inf), lp_norm(f, 1))
     # conjugation and reflection identities
     fr = reflect(f)
     lhs_c = forward(plan, Field(g, np.conj(f.values)))
     rhs_c = Field(g, np.conj(forward(plan, fr).values))
-    rows.append(make_row(f"transform.conjugation.{tag}",
-                         "F(conj f) = conj(F(f(-.)))", _rel(lhs_c, rhs_c), 0.0,
-                         tol["exact"], mode="abs"))
-    rhs_r = reflect(forward(plan, fr))
-    rows.append(make_row(f"transform.reflection.{tag}",
-                         "F(f)(lam) = F(f(-.))(-lam)", _rel(Ff, rhs_r), 0.0,
-                         tol["exact"], mode="abs"))
+    emit("transform.conjugation", _rel(lhs_c, rhs_c))
+    emit("transform.reflection", _rel(Ff, reflect(forward(plan, fr))))
     # kernel row at zero frequency sums the weights exactly
     pts = g.nodes()
     row0 = weinstein_kernel(g.alpha, g.d, pts, np.zeros(g.d + 1)) * g.node_weights.reshape(-1)
     wsum = g.node_weights.sum()
-    rows.append(make_row(f"transform.zero_row.{tag}",
-                         "sum_x Lambda(x, 0) w_x = sum_x w_x (relative)",
-                         float(np.abs(row0.sum() - wsum)) / wsum, 0.0,
-                         1e-14, mode="abs"))
+    emit("transform.zero_row", float(np.abs(row0.sum() - wsum)) / wsum)
     return rows
 
 
@@ -244,16 +338,12 @@ def transform_checks(st: Stack, rng, tol: dict) -> list[CheckRow]:
 
 def translation_checks(st: Stack, rng, tol: dict) -> list[CheckRow]:
     g, plan, kern = st.grid, st.plan, st.kernel
-    tag = f"alpha{g.alpha:g}"
-    rows = []
-    rows.append(make_row(f"theta.normalization.{tag}",
-                         "C_alpha int_0^pi (sin t)^{2a} dt = 1 (raw quadrature)",
-                         kern.theta.raw_weight_sum, 1.0, 1e-10, mode="rel"))
+    emit, rows = _emitter(tol, g.alpha)
+    emit("theta.normalization", kern.theta.raw_weight_sum, 1.0)
     G = gaussian(g)
     zero = np.zeros(g.d + 1)
-    rows.append(make_row(f"translate.identity.{tag}", "tau_0 f = f exactly",
-                         float(np.max(np.abs(translate(kern, zero, G).values - G.values))),
-                         0.0, 1e-12, mode="abs"))
+    emit("translate.identity",
+         float(np.max(np.abs(translate(kern, zero, G).values - G.values))))
     # symmetry at random node pairs for the Gaussian
     worst = 0.0
     for _ in range(10):
@@ -266,79 +356,53 @@ def translation_checks(st: Stack, rng, tol: dict) -> list[CheckRow]:
         vy = ty.values.reshape(-1)[g.cart_flat_index(x[:g.d]) * g.radial_points
                                    + int(np.argmin(np.abs(g.radial_nodes - x[g.d])))]
         worst = max(worst, abs(vx - vy))
-    rows.append(make_row(f"translate.symmetry.{tag}",
-                         "tau_x f(y) = tau_y f(x) at random node pairs (Gaussian f)",
-                         worst, 0.0, 1e-6, mode="abs"))
+    emit("translate.symmetry", worst)
     # transform identity, mass, contraction, positivity
     worst_mmm = 0.0
     for _ in range(5):
         f = random_field(g, rng)
         x = _rand_safe_node(g, rng)
         worst_mmm = max(worst_mmm, _rel(*check_translate_fourier(plan, kern, x, f)))
-    rows.append(make_row(f"translate.transform_identity.{tag}",
-                         "F(tau_x f) = Lambda(x,.) F(f), worst relative L2",
-                         worst_mmm, 0.0, tol["transform"], mode="abs"))
+    emit("translate.transform_identity", worst_mmm)
     pts_all = g.nodes()
     safe_mass = pts_all[pts_all[:, -1] <= 0.3 * g.radial_extent]
     x = safe_mass[rng.integers(0, len(safe_mass))]
     tf = translate(kern, x, G)
     one = Field(g, np.ones(g.shape, dtype=complex))
-    rows.append(make_row(f"translate.mass.{tag}",
-                         "int tau_x f dmu = int f dmu",
-                         abs(inner_product(tf, one) - inner_product(G, one)), 0.0,
-                         tol["mass"], mode="abs"))
+    emit("translate.mass", abs(inner_product(tf, one) - inner_product(G, one)))
     for p in (1, 2, np.inf):
-        rows.append(make_row(f"translate.contraction.p{p}.{tag}",
-                             "||tau_x f||_p <= ||f||_p",
-                             lp_norm(tf, p), lp_norm(G, p), tol["slack"], mode="le"))
-    rows.append(make_row(f"translate.positivity.{tag}",
-                         "f >= 0 implies min(tau_x f) >= -1e-12",
-                         float(np.min(tf.values.real)), 0.0, 1e-12,
-                         passed=bool(np.min(tf.values.real) >= -1e-12)))
+        emit("translate.contraction", lp_norm(tf, p), lp_norm(G, p), part=f"p{p}")
+    low = float(np.min(tf.values.real))
+    emit("translate.positivity", low, passed=low >= -tol["rounding"])
     return rows
 
 
 def convolution_checks(st: Stack, rng, tol: dict) -> list[CheckRow]:
     g, plan, kern = st.grid, st.plan, st.kernel
-    tag = f"alpha{g.alpha:g}"
-    rows = []
+    emit, rows = _emitter(tol, g.alpha)
     f = random_even_field(g, rng)
     h = random_even_field(g, rng)
     cv = convolve(kern, f, h)
     lhs = forward(plan, cv)
     rhs = Field(g, forward(plan, f).values * forward(plan, h).values)
-    rows.append(make_row(f"conv.transform_identity.{tag}",
-                         "F(f * g) = F(f) F(g), relative L2",
-                         _rel(lhs, rhs), 0.0, tol["convolution"], mode="abs"))
-    rows.append(make_row(f"conv.commutativity.{tag}", "f * g = g * f",
-                         _rel(convolve(kern, h, f), cv), 0.0, 1e-6, mode="abs"))
-    sp = convolve_spectral(plan, f, h)
-    rows.append(make_row(f"conv.direct_vs_spectral.{tag}",
-                         "quadrature and F^-1(F f F g) routes agree, relative L2",
-                         _rel(cv, sp), 0.0, tol["convolution"], mode="abs"))
-    rows.append(make_row(f"conv.l2_product_norm.{tag}",
-                         "||f * g||_2 = ||F(f) F(g)||_2",
-                         lp_norm(cv, 2), lp_norm(rhs, 2), tol["convolution"], mode="rel"))
+    emit("conv.transform_identity", _rel(lhs, rhs))
+    emit("conv.commutativity", _rel(convolve(kern, h, f), cv))
+    emit("conv.direct_vs_spectral", _rel(cv, convolve_spectral(plan, f, h)))
+    emit("conv.l2_product_norm", lp_norm(cv, 2), lp_norm(rhs, 2))
     for (p, q, r) in ((1, 1, 1), (1, 2, 2), (2, 2, np.inf)):
-        rows.append(make_row(f"conv.young.{p}_{q}_{r}.{tag}",
-                             "||f*g||_r <= ||f||_p ||g||_q",
-                             lp_norm(cv, r), lp_norm(f, p) * lp_norm(h, q),
-                             tol["slack"], mode="le"))
+        emit("conv.young", lp_norm(cv, r), lp_norm(f, p) * lp_norm(h, q), part=f"{p}_{q}_{r}")
     g1 = gaussian(g, 1.0)
     g2 = gaussian(g, 0.9)
     g3 = gaussian(g, 0.8)
     lhs_a = convolve(kern, convolve(kern, g1, g2), g3)
     rhs_a = convolve(kern, g1, convolve(kern, g2, g3))
-    rows.append(make_row(f"conv.associativity.{tag}", "(f*g)*h = f*(g*h)",
-                         _rel(lhs_a, rhs_a), 0.0, 2 * tol["convolution"], mode="abs"))
+    emit("conv.associativity", _rel(lhs_a, rhs_a))
     # mollification: convolution with a narrow normalized bump stays close to f
     bump = gaussian(g, 0.35)
     one = Field(g, np.ones(g.shape, dtype=complex))
     bump = (1.0 / inner_product(bump, one).real) * bump
     mol = convolve(kern, g1, bump)
-    rows.append(make_row(f"conv.mollification.{tag}",
-                         "f * (narrow normalized bump) close to f",
-                         _rel(mol, g1), 0.0, 0.2, mode="abs"))
+    emit("conv.mollification", _rel(mol, g1))
     return rows
 
 
@@ -350,35 +414,22 @@ def wavelet_checks(st: Stack, rng, tol: dict,
                    windows: tuple = (None, None)) -> list[CheckRow]:
     """Wavelet-chain checks on the pair of ``windows`` (``config_windows``)."""
     g, plan = st.grid, st.plan
-    tag = f"alpha{g.alpha:g}"
-    rows = []
+    emit, rows = _emitter(tol, g.alpha)
     pair = build_pair(plan, st.scale_grid, st.kernel, *windows)
     default_pair = windows == (None, None)
     C_phi, sp_phi = admissibility_constant(plan, st.scale_grid, pair.phi)
     if default_pair:
-        rows.append(make_row(f"adm.value_phi.{tag}",
-                             "C of the |xi|^2 Gaussian profile = 1/2",
-                             C_phi, 0.5, tol["adm_value"], mode="abs"))
-    rows.append(make_row(f"adm.spread_phi.{tag}",
-                         "scale integral constant across sampled xi",
-                         sp_phi, 0.0, tol["adm_spread"], mode="abs"))
+        emit("adm.value_phi", C_phi, 0.5)
+    emit("adm.spread_phi", sp_phi)
     C_psi, sp_psi = admissibility_constant(plan, st.scale_grid, pair.psi)
     if default_pair:
-        rows.append(make_row(f"adm.value_psi.{tag}",
-                             "C of the |xi|^4 Gaussian profile = 3",
-                             C_psi, 3.0, 6.0 * tol["adm_value"], mode="abs"))
-    rows.append(make_row(f"adm.spread_psi.{tag}",
-                         "scale integral constant across sampled xi (second window)",
-                         sp_psi, 0.0, tol["adm_spread"], mode="abs"))
-    Ccross, sp_c = two_wavelet_constant(plan, st.scale_grid, pair.phi, pair.psi)
+        emit("adm.value_psi", C_psi, 3.0)
+    emit("adm.spread_psi", sp_psi)
+    Ccross, _ = two_wavelet_constant(plan, st.scale_grid, pair.phi, pair.psi)
     if default_pair:
-        rows.append(make_row(f"adm.value_cross.{tag}",
-                             "cross constant of the default pair = 1",
-                             abs(Ccross), 1.0, 2.0 * tol["adm_value"], mode="abs"))
+        emit("adm.value_cross", abs(Ccross), 1.0)
     Cself, _ = two_wavelet_constant(plan, st.scale_grid, pair.phi, pair.phi)
-    rows.append(make_row(f"adm.self_cross_coincide.{tag}",
-                         "cross constant with psi=phi equals C_phi",
-                         abs(Cself - C_phi), 0.0, 1e-12, mode="abs"))
+    emit("adm.self_cross_coincide", abs(Cself - C_phi))
 
     f = gaussian(g)
     W1 = cwt(pair, f, "phi")
@@ -387,77 +438,49 @@ def wavelet_checks(st: Stack, rng, tol: dict,
     def xl2(W):
         return float(np.sqrt(np.sum(pair.scale_grid.combined_weights * np.abs(W.values) ** 2)))
 
-    rows.append(make_row(f"wav.pipelines_gaussian.{tag}",
-                         "inner-product and convolution-form transforms agree",
-                         xl2(W1 - W2) / max(xl2(W1), 1e-300), 0.0,
-                         tol["convolution"], mode="abs"))
+    emit("wav.pipelines_gaussian", xl2(W1 - W2) / max(xl2(W1), 1e-300))
     fe = random_even_field(g, rng)
     We1 = cwt(pair, fe, "phi")
     We2 = cwt_convolution_form(pair, fe, "phi")
-    rows.append(make_row(f"wav.pipelines_random.{tag}",
-                         "pipeline agreement on a random even probe",
-                         xl2(We1 - We2) / max(xl2(We1), 1e-300), 0.0,
-                         tol["convolution"], mode="abs"))
+    emit("wav.pipelines_random", xl2(We1 - We2) / max(xl2(We1), 1e-300))
     # linearity and sup bound
     a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
     h = random_even_field(g, rng)
     Wlin = cwt(pair, Field(g, a * fe.values + b * h.values), "phi")
     Wrhs = a * cwt(pair, fe, "phi").values + b * cwt(pair, h, "phi").values
-    rows.append(make_row(f"wav.linearity.{tag}", "W(a f + b g) = a W(f) + b W(g)",
-                         float(np.max(np.abs(Wlin.values - Wrhs)))
-                         / max(float(np.max(np.abs(Wrhs))), 1e-300),
-                         0.0, 1e-12, mode="abs"))
-    rows.append(make_row(f"wav.sup_bound.{tag}",
-                         "max |W(f)| <= ||f||_2 ||phi||_2",
-                         float(np.max(np.abs(W1.values))),
-                         lp_norm(f, 2) * lp_norm(pair.phi.field, 2),
-                         tol["slack"], mode="le"))
+    emit("wav.linearity", float(np.max(np.abs(Wlin.values - Wrhs)))
+         / max(float(np.max(np.abs(Wrhs))), 1e-300))
+    emit("wav.sup_bound", float(np.max(np.abs(W1.values))),
+         lp_norm(f, 2) * lp_norm(pair.phi.field, 2))
     lhs, rhs = check_two_wavelet_parseval(pair, f, random_even_field(g, rng))
-    rows.append(make_row(f"wav.two_wavelet_parseval.{tag}",
-                         "<W_phi f, W_psi g>_X = C_{phi,psi} <f, g>",
-                         abs(lhs - rhs) / max(abs(rhs), 1e-300), 0.0,
-                         tol["wavelet"], mode="abs"))
-    rec = invert_cwt(pair, W1)
-    rows.append(make_row(f"wav.inversion.{tag}",
-                         "synthesis of W_phi(f) over X recovers f (Gaussian)",
-                         _rel(rec, f), 0.0, tol["wavelet"], mode="abs"))
+    emit("wav.two_wavelet_parseval", abs(lhs - rhs) / max(abs(rhs), 1e-300))
+    emit("wav.inversion", _rel(invert_cwt(pair, W1), f))
     # dilation identities at representable scales
     for a_ in (0.5, 2.0):
         da = dilate(a_, pair.phi.field)
         for p in (1, 2, np.inf):
             e = 0.0 if p == np.inf else 1.0 / p
             pred = a_ ** (g.measure_power * (e - 1.0)) * lp_norm(pair.phi.field, p)
-            rows.append(make_row(f"wav.dilate_norm.a{a_:g}.p{p}.{tag}",
-                                 "||phi_a||_p = a^{(2a+d+2)(1/p-1)} ||phi||_p",
-                                 lp_norm(da, p), pred, 1e-2, mode="rel"))
+            emit("wav.dilate_norm", lp_norm(da, p), pred, part=f"a{a_:g}.p{p}")
         Fd = forward(plan, da)
         pts = g.nodes() * a_
         pred_vals = eval_freq_data(pair.phi, plan, pts).reshape(g.shape)
         num = np.sqrt(np.sum(g.node_weights * np.abs(Fd.values - pred_vals) ** 2))
         den = np.sqrt(np.sum(g.node_weights * np.abs(pred_vals) ** 2))
-        rows.append(make_row(f"wav.dilate_fourier.a{a_:g}.{tag}",
-                             "F(phi_a)(xi) = F(phi)(a xi)",
-                             num / max(den, 1e-300), 0.0, 1e-2, mode="abs"))
+        emit("wav.dilate_fourier", num / max(den, 1e-300), part=f"a{a_:g}")
     # family member norms, at scales where the band-limit taper is inactive
     x = _rand_safe_node(g, rng)
     for a_ in (1.0, 2.0):
         fam = family_member(st.kernel, plan, pair.phi, a_, x)
-        rows.append(make_row(f"wav.family_l2.a{a_:g}.{tag}",
-                             "||phi_{a,x}||_2 <= ||phi||_2",
-                             lp_norm(fam, 2), lp_norm(pair.phi.field, 2),
-                             tol["slack"], mode="le"))
+        emit("wav.family_l2", lp_norm(fam, 2), lp_norm(pair.phi.field, 2), part=f"a{a_:g}")
         for p in (1, np.inf):
             e = 0.0 if p == np.inf else 1.0 / p
             pred = a_ ** (g.measure_power * (e - 0.5)) * lp_norm(pair.phi.field, p)
-            rows.append(make_row(f"wav.family_lp.a{a_:g}.p{p}.{tag}",
-                                 "||phi_{a,x}||_p <= a^{(2a+d+2)(1/p-1/2)} ||phi||_p",
-                                 lp_norm(fam, p), pred, tol["slack"], mode="le"))
+            emit("wav.family_lp", lp_norm(fam, p), pred, part=f"a{a_:g}.p{p}")
     # transform of the family member at (1, 0) is the window itself
     zero = np.zeros(g.d + 1)
     fam0 = family_member(st.kernel, plan, pair.phi, 1.0, zero)
-    rows.append(make_row(f"wav.family_identity.{tag}",
-                         "phi_{1,0} = phi", _rel(fam0, pair.phi.field), 0.0,
-                         1e-10, mode="abs"))
+    emit("wav.family_identity", _rel(fam0, pair.phi.field))
     # localization of W(phi_{1,0}) near (a, x) = (1, 0)
     Wp = cwt(pair, fam0, "phi")
     mags = np.abs(Wp.values)
@@ -468,9 +491,7 @@ def wavelet_checks(st: Stack, rng, tol: dict,
     ok = (abs(la[jmax]) <= 1.5 * dla
           and np.linalg.norm(cart[cmax]) <= 2.1 * g.cart_step
           and g.radial_nodes[rmax] <= np.partition(g.radial_nodes, 3)[3] + 1e-12)
-    rows.append(make_row(f"wav.self_localization.{tag}",
-                         "argmax |W(phi_{1,0})| lies in the cell block at (1, 0)",
-                         float(jmax), float(np.argmin(np.abs(la))), 0.0, passed=ok))
+    emit("wav.self_localization", float(jmax), float(np.argmin(np.abs(la))), passed=ok)
     return rows
 
 
@@ -509,49 +530,31 @@ def operator_exact_checks(L: loc.LocalizationOperator, pair_same: WaveletPair,
     ``pair_same``, the pair with psi = phi."""
     pair, sym = L.pair, L.symbol
     g = pair.plan.grid
-    tag = f"alpha{g.alpha:g}"
-    rows = []
+    emit, rows = _emitter(tol, g.alpha)
     f = random_field(g, rng)
     h = random_field(g, rng)
     weak = loc.weak_form(pair, sym, f, h)
     strong = inner_product(loc.apply_operator(L, f), h)
-    rows.append(make_row(f"op.weak_strong.{tag}",
-                         "<L f, g> equals the scale-space weak form exactly",
-                         abs(weak - strong) / max(abs(weak), 1e-300), 0.0,
-                         tol["operator_exact"], mode="abs"))
+    emit("op.weak_strong", abs(weak - strong) / max(abs(weak), 1e-300))
     Ladj = loc.adjoint(L)
     scale = max(float(np.max(np.abs(L.matrix))), 1e-300)
-    rows.append(make_row(f"op.adjoint_matrix.{tag}",
-                         "matrix(L*) = weighted conjugate transpose of matrix(L)",
-                         float(np.max(np.abs(Ladj.matrix - L.matrix.conj().T))) / scale,
-                         0.0, tol["operator_exact"], mode="abs"))
-    rows.append(make_row(f"op.adjoint_pairing.{tag}",
-                         "<L f, g> = <f, L* g>",
-                         abs(inner_product(loc.apply_operator(L, f), h)
-                             - inner_product(f, loc.apply_operator(Ladj, h)))
-                         / max(abs(weak), 1e-300),
-                         0.0, tol["operator_exact"], mode="abs"))
+    emit("op.adjoint_matrix", float(np.max(np.abs(Ladj.matrix - L.matrix.conj().T))) / scale)
+    emit("op.adjoint_pairing", abs(inner_product(loc.apply_operator(L, f), h)
+                                   - inner_product(f, loc.apply_operator(Ladj, h)))
+         / max(abs(weak), 1e-300))
     # L** is the conjugate transpose of the assembled matrix(L*)
-    rows.append(make_row(f"op.double_adjoint.{tag}", "L** = L",
-                         float(np.max(np.abs(Ladj.matrix.conj().T - L.matrix))) / scale,
-                         0.0, 1e-12, mode="abs"))
+    emit("op.double_adjoint", float(np.max(np.abs(Ladj.matrix.conj().T - L.matrix))) / scale)
     c = 2.5
     L2x = loc.assemble(pair, loc.SymbolField(sym.grid, c * sym.values,
                                              declared_class=sym.declared_class))
-    rows.append(make_row(f"op.symbol_scaling.{tag}",
-                         "matrix(c sigma) = c matrix(sigma)",
-                         float(np.max(np.abs(L2x.matrix - c * L.matrix))) / (c * scale),
-                         0.0, 1e-12, mode="abs"))
+    emit("op.symbol_scaling", float(np.max(np.abs(L2x.matrix - c * L.matrix))) / (c * scale))
 
     # hermitian for a real symbol with psi = phi
     Lh = loc.assemble(pair_same, sym)
     Wn = pair.plan.grid.node_weights.reshape(-1)
     Hm = np.sqrt(Wn)[:, None] * Lh.matrix * np.sqrt(Wn)[None, :]
-    rows.append(make_row(f"op.hermitian.{tag}",
-                         "real symbol, psi = phi: symmetrized matrix is Hermitian",
-                         float(np.max(np.abs(Hm - Hm.conj().T)))
-                         / max(float(np.max(np.abs(Hm))), 1e-300),
-                         0.0, tol["operator_exact"], mode="abs"))
+    emit("op.hermitian", float(np.max(np.abs(Hm - Hm.conj().T)))
+         / max(float(np.max(np.abs(Hm))), 1e-300))
 
     # rank-one single cell
     jmid = pair.scale_grid.scale_points // 2
@@ -567,29 +570,18 @@ def operator_exact_checks(L: loc.LocalizationOperator, pair_same: WaveletPair,
              * a_ ** (-pair.scale_grid.measure_power)
              * g.node_weights[ccell, rcell])
     pred = wcell * np.outer(psi_ax.values.reshape(-1), np.conj(phi_ax.values.reshape(-1)))
-    rows.append(make_row(f"op.rank_one_matrix.{tag}",
-                         "single-cell symbol gives w <.,phi_ax> psi_ax",
-                         float(np.max(np.abs(L1.matrix - pred)))
-                         / max(float(np.max(np.abs(pred))), 1e-300),
-                         0.0, tol["rank_one"], mode="abs"))
-    rows.append(make_row(f"op.rank_one_norm.{tag}",
-                         "rank-one operator norm = w ||phi_ax||_2 ||psi_ax||_2",
-                         loc.measured_norm(L1, 2),
-                         wcell * lp_norm(phi_ax, 2) * lp_norm(psi_ax, 2),
-                         tol["rank_one"], mode="rel"))
+    emit("op.rank_one_matrix", float(np.max(np.abs(L1.matrix - pred)))
+         / max(float(np.max(np.abs(pred))), 1e-300))
+    emit("op.rank_one_norm", loc.measured_norm(L1, 2),
+         wcell * lp_norm(phi_ax, 2) * lp_norm(psi_ax, 2))
     sv1 = loc.singular_value_profile(L1)
-    rows.append(make_row(f"op.rank_one_spectrum.{tag}",
-                         "single-cell operator has one nonzero singular value",
-                         float(sv1[1] / sv1[0]), 0.0, 1e-10, mode="abs"))
+    emit("op.rank_one_spectrum", float(sv1[1] / sv1[0]))
 
     # sigma = 1 with psi = phi approximates C_phi * identity in the quadratic form
     Lid = loc.assemble(pair_same, loc.symbol_indicator(pair.scale_grid))
     fG = gaussian(g)
     val = inner_product(loc.apply_operator(Lid, fG), fG).real
-    rows.append(make_row(f"op.identity_symbol.{tag}",
-                         "<L_{phi,phi}(1) f, f> = C_phi ||f||_2^2",
-                         val, pair_same.C_phi * lp_norm(fG, 2) ** 2, tol["examples"],
-                         mode="rel"))
+    emit("op.identity_symbol", val, pair_same.C_phi * lp_norm(fG, 2) ** 2)
     return rows
 
 
@@ -600,30 +592,23 @@ def operator_bound_checks(pair: WaveletPair, pair_name: str, probes: np.ndarray,
     Classes in ``shared`` (``_shared_operators``) use the operator there; the
     others are assembled here, one at a time.
     """
-    tag = f"alpha{pair.plan.grid.alpha:g}.{pair_name}"
-    rows = []
+    emit, rows = _emitter(tol, pair.plan.grid.alpha, pair_name)
     for name, s in _symbols(pair.scale_grid).items():
         Ls = shared.get(name) or loc.assemble(pair, s)
         for p in (1, 2, np.inf):
             measured = loc.measured_norm(Ls, p)
             bound, btag, _ = loc.theoretical_bound(pair, s, p)
-            rows.append(make_row(f"op.bound.{name}.p{p}.{tag}",
-                                 f"measured {p}-norm <= tightest bound ({btag})",
-                                 measured, bound, tol["bound_slack"], mode="le"))
+            emit("op.bound", measured, bound, part=f"{name}.p{p}", p=p, btag=btag)
         for p in (1.25, 1.5, 3.0):
             measured = loc.measured_norm(Ls, p, probes=probes)
             bound, btag, _ = loc.theoretical_bound(pair, s, p)
-            rows.append(make_row(f"op.bound_lower.{name}.p{p:g}.{tag}",
-                                 f"probe lower bound for the {p}-norm <= bound ({btag})",
-                                 measured, bound, tol["bound_slack"], mode="le"))
+            emit("op.bound_lower", measured, bound, part=f"{name}.p{p:g}", p=p, btag=btag)
         if name in ("l1_bump", "separable"):
             sv = loc.singular_value_profile(Ls)
             k = int(np.argmax(sv / sv[0] < tol["svd_level"]))
             frac = k / len(sv) if sv[0] > 0 else 0.0
-            rows.append(make_row(f"op.svd_decay.{name}.{tag}",
-                                 "normalized singular values below 1e-3 within 25% of spectrum",
-                                 frac, tol["svd_fraction"], 0.0,
-                                 passed=bool(0 < frac <= tol["svd_fraction"])))
+            emit("op.svd_decay", frac, tol["svd_fraction"], part=name,
+                 passed=0 < frac <= tol["svd_fraction"])
     return rows
 
 
@@ -635,17 +620,13 @@ def example_checks(shared: dict, pair_same: WaveletPair, rng, tol: dict) -> list
     pair, sym = Lc.pair, Lc.symbol
     plan, sg = pair.plan, pair.scale_grid
     g = plan.grid
-    tag = f"alpha{g.alpha:g}"
-    rows = []
+    emit, rows = _emitter(tol, g.alpha)
 
     # multiplier: scale-only symbol acts as a transform-side multiplier
     f = random_even_field(g, rng)
     lhs = loc.apply_operator(Lc, f)
     m = loc.multiplier_symbol(pair, sym.chi)
-    rhs = loc.apply_multiplier(pair, m, f)
-    rows.append(make_row(f"ex.multiplier_equivalence.{tag}",
-                         "L(chi(a)) f = F^{-1}(m F f), relative L2",
-                         _rel(lhs, rhs), 0.0, tol["examples"], mode="abs"))
+    emit("ex.multiplier_equivalence", _rel(lhs, loc.apply_multiplier(pair, m, f)))
     # chi = 1, psi = phi: m is the admissibility constant on the analysis band
     m1 = loc.multiplier_symbol(pair_same, np.ones(sg.scale_points))
     pts = g.nodes().reshape(g.shape + (g.d + 1,))
@@ -654,9 +635,7 @@ def example_checks(shared: dict, pair_same: WaveletPair, rng, tol: dict) -> list
     band = (rad > 0.35) & (rad < 2.8)
     spread = float(np.max(np.abs(m1.values[band].real - pair_same.C_phi))
                    / pair_same.C_phi)
-    rows.append(make_row(f"ex.multiplier_constancy.{tag}",
-                         "chi=1, psi=phi: m = C_phi across the analysis band",
-                         spread, 0.0, tol["adm_spread"], mode="abs"))
+    emit("ex.multiplier_constancy", spread)
 
     # paraproduct lemma and L1 bound (unit-normalized windows)
     nphi = lp_norm(pair.phi.field, 2)
@@ -674,20 +653,11 @@ def example_checks(shared: dict, pair_same: WaveletPair, rng, tol: dict) -> list
     one = Field(g, np.ones(g.shape, dtype=complex))
     lhs_l = inner_product(pp, one)
     rhs_l = pairu.C_phi_psi * inner_product(fu, gu)
-    rows.append(make_row(f"ex.paraproduct_lemma.{tag}",
-                         "int p(f,g) dmu = C_{phi,psi} <f, g>",
-                         abs(lhs_l - rhs_l) / max(abs(rhs_l), 1e-300), 0.0,
-                         tol["examples"], mode="abs"))
-    rows.append(make_row(f"ex.paraproduct_l1.{tag}",
-                         "||p(f,g)||_1 <= sqrt(C_phi C_psi) ||f||_2 ||g||_2",
-                         lp_norm(pp, 1),
-                         np.sqrt(abs(pairu.C_phi * pairu.C_psi))
-                         * lp_norm(fu, 2) * lp_norm(gu, 2),
-                         tol["slack"], mode="le"))
-    rows.append(make_row(f"ex.paraproduct_zero.{tag}", "p(0, g) = 0",
-                         float(np.max(np.abs(loc.paraproduct(
-                             pairu, Field(g, np.zeros(g.shape, complex)), gu).values))),
-                         0.0, 1e-14, mode="abs"))
+    emit("ex.paraproduct_lemma", abs(lhs_l - rhs_l) / max(abs(rhs_l), 1e-300))
+    emit("ex.paraproduct_l1", lp_norm(pp, 1),
+         np.sqrt(abs(pairu.C_phi * pairu.C_psi)) * lp_norm(fu, 2) * lp_norm(gu, 2))
+    emit("ex.paraproduct_zero", float(np.max(np.abs(loc.paraproduct(
+        pairu, Field(g, np.zeros(g.shape, complex)), gu).values))))
 
     # paracommutator: weak form through the frequency-side kernel
     sym_sep = Lsep.symbol
@@ -695,17 +665,12 @@ def example_checks(shared: dict, pair_same: WaveletPair, rng, tol: dict) -> list
     gpc = random_even_field(g, rng)
     lhs_pc = inner_product(loc.apply_operator(Lsep, fpc), gpc)
     rhs_pc = _paracommutator_weak(pair, sym_sep, fpc, gpc)
-    rows.append(make_row(f"ex.paracommutator_weak.{tag}",
-                         "<L(chi zeta) f, g> = double frequency integral with kernel K",
-                         abs(lhs_pc - rhs_pc) / max(abs(lhs_pc), 1e-300), 0.0,
-                         tol["examples"], mode="abs"))
+    emit("ex.paracommutator_weak", abs(lhs_pc - rhs_pc) / max(abs(lhs_pc), 1e-300))
     # kernel reductions
     xi = np.array([0.4] * g.d + [0.9])
     kv = loc.paracommutator_kernel(pair_same, loc.symbol_separable(sg, 0.0, 1e6),
                                    xi, xi)
-    rows.append(make_row(f"ex.paracommutator_diag.{tag}",
-                         "K(xi, xi) with chi=1, psi=phi reduces to C_phi",
-                         complex(kv).real, pair_same.C_phi, 5e-3, mode="rel"))
+    emit("ex.paracommutator_diag", complex(kv).real, pair_same.C_phi)
     return rows
 
 

@@ -6,10 +6,13 @@ study, then asserts each criterion's rows and prints one line per
 criterion.  Expect about 11 s of runtime on a 2-core Xeon.
 """
 
+import hashlib
+
 import pytest
 
 from weinstein.config import RunConfig
 from weinstein.convergence import run_convergence
+from weinstein.report import fmt
 from weinstein.verify import run_verify
 
 pytestmark = pytest.mark.slow
@@ -118,6 +121,16 @@ def test_criterion_11_singular_value_decay(battery):
     rows = _select(battery, "op.svd_decay")
     assert len(rows) == 3 * 2 * 2  # alphas x pairs x {bump, separable}
     _assert_all(rows, "criterion 11: singular values below 1e-3 in first 25% of spectrum")
+
+
+def test_declared_columns_unchanged(battery):
+    # check_id, statement and tolerance hold constants and the name of each
+    # tightest bound, not computed values, so BLAS rounding does not move them
+    cols = [("check_id", "statement", "tolerance")]
+    cols += [(r.check_id, r.statement, fmt(r.tolerance)) for r in battery]
+    text = "".join(",".join(c) + "\n" for c in cols)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1da75e2aaba3980091f729b01f232a6f4135c7685d35acb440e60bd2e1ba558c")
 
 
 def test_full_battery_green(battery):

@@ -86,6 +86,10 @@ def test_verify_small_fails_six_rows_and_is_deterministic(tmp_path):
     assert failed == [f"{c}.alpha0.5" for c in (
         "wav.inversion", "wav.dilate_norm.a2.p1", "wav.dilate_fourier.a2",
         "ex.multiplier_equivalence", "ex.multiplier_constancy", "ex.paracommutator_diag")]
+    # every check of the table is emitted, in table order, and no row outside it
+    from weinstein.verify import CHECKS
+    stems = [".".join(row[0].split(".")[:2]) for row in rows[1:]]
+    assert list(dict.fromkeys(stems)) == list(CHECKS)
 
 
 @pytest.mark.slow
@@ -244,6 +248,25 @@ def test_localize_reads_windows_on_the_operator_grid(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("operator structures: none\n")
     assert "CSV has 256 rows, expected 144" in captured.err
+
+
+@pytest.mark.parametrize("alphas", ["nan", "inf", "0.5,0.5000001"])
+def test_verify_rejects_bad_alphas(tmp_path, capsys, alphas):
+    # a non-finite entry, or two entries with one check id tag, is a
+    # configuration error before any output is written
+    code, out = run_cli(["verify"], tmp_path, ("--set", f"alphas={alphas}"))
+    assert code == 2
+    assert "alphas entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", ["0", "1"])
+def test_convergence_rejects_fewer_than_two_levels(tmp_path, capsys, levels):
+    # the study gates the error ratio between levels: it needs two of them
+    code, out = run_cli(["convergence", "--levels", levels], tmp_path)
+    assert code == 2
+    assert "at least 2 levels" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["cart_extent=6", "radial_extent=6"])

@@ -29,6 +29,15 @@ def test_alpha_constraint_rejected():
         parse_config("alpha = -0.7")
 
 
+@pytest.mark.parametrize("alphas", ["nan", "inf", "0,nan", "0.5,0.5", "0.5,0.5000001"])
+def test_alphas_rejects_non_finite_and_repeated_tags(alphas):
+    # a non-finite entry cannot be run, and two entries with one alpha<a:g>
+    # tag would write their rows under the same check ids
+    with pytest.raises(ConfigError, match="alphas entries"):
+        parse_config(f"alphas = {alphas}")
+    assert parse_config("alphas = 0.5,0.50001").alpha_list() == [0.5, 0.50001]
+
+
 def test_unknown_key_names_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("alpha = 0.5\nbogus = 3\n")
