@@ -97,6 +97,8 @@ def cmd_localize(cfg) -> int:
         sym = symbols[cfg.symbol]
     L = loc.assemble(pair, sym)
     print(f"operator structures: {', '.join(L.structures) or 'none'}")
+    syn, ana = (f"{len(b)}/{st.grid.n_cart}" for b in L.band)
+    print(f"lattice band: {syn} synthesis bins, {ana} analysis bins")
     out = _out_dir(cfg)
     (out / "operator.csv").write_text(matrix_to_csv(L.matrix))
     # bound report: one row per (theorem, p) with the dominance ratio

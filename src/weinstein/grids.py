@@ -154,6 +154,16 @@ class BaseGrid:
             self._sum_index.flags.writeable = False
         return self._sum_index
 
+    def cart_bin_index(self) -> np.ndarray:
+        """(n^d,) flat lattice DFT bin of each Cartesian frequency node: (j - n//2) mod n per axis.
+
+        On a self-dual grid the Cartesian transform factor is the lattice
+        DFT, and frequency node j of a window's data feeds this bin of the
+        lattice spectrum of its samples in space.
+        """
+        n, d = self.cart_points, self.d
+        return self._flat(np.indices((n,) * d).reshape(d, -1) - n // 2)
+
     def cart_flat_index(self, point) -> int:
         """Flat Cartesian index of a lattice point; raises if off-lattice."""
         point = np.atleast_1d(np.asarray(point, dtype=float))

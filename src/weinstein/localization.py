@@ -15,6 +15,16 @@ shift on the Cartesian lattice, so R is assembled in the lattice spectrum,
 where the sum over the Cartesian node x_c becomes one product per pair of
 frequencies (see ``_assemble_matrix``).
 
+Every pair has one more exact structure, its lattice band
+(``_lattice_band``).  ``band_taper`` is exactly 0 beyond 0.8 of the
+Cartesian extent, so a window's frequency data vanish on the outer
+Cartesian frequency rows, and on the self-dual grid the Cartesian
+transform factor is the lattice DFT: every family member has lattice
+spectrum only in the bins of the live rows.  The assembly skips the
+spectrum rows and columns outside the two windows' bands, and the dense
+SVD takes only the band block of the unitary lattice DFT of M, whose
+other entries vanish.
+
 Three exact structures of the inputs pick cheaper routes.  One function,
 ``_structures``, decides them once per operator from the inputs, bit for
 bit, never from a tolerance test on the matrix; the assembly and the SVD
@@ -39,7 +49,8 @@ read that one result:
   diagonal m x m blocks of its unitary lattice DFT.
 
 An operator with none of them (a complex symbol or window that is not
-even) takes the complex assembly and one dense SVD.
+even) takes the complex assembly and one dense SVD of its band block; a
+real operator that is not even keeps one real SVD of M.
 
 Measured operator norms on the weighted sequence spaces: p = 1 and
 p = inf are the exact induced norms (weighted column and row sums); p = 2
@@ -66,7 +77,8 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sp_fft
 
-from .grids import Field, ScaleField, ScaleGrid, _matmul, lp_norm, scale_lp_norm
+from .grids import (Field, ScaleField, ScaleGrid, _matmul, lp_norm, scale_lp_norm,
+                    self_dual_extent)
 from .probes import random_fields
 from .transform import forward, inverse
 from .translation import cart_fft, lattice_shift
@@ -158,7 +170,8 @@ class LocalizationOperator:
     assembly of (pair, symbol): float64 for a real operator, complex
     otherwise, and read-only, so its singular values are computed once.
     ``structures`` names the exact input structures (``_structures``) that
-    picked its routes.
+    picked its routes, and ``band`` the lattice bins its assembly and dense
+    SVD read (``_lattice_band``).
     """
 
     pair: WaveletPair
@@ -178,6 +191,11 @@ class LocalizationOperator:
     def grid(self):
         return self.pair.plan.grid
 
+    @property
+    def band(self) -> tuple[np.ndarray, np.ndarray]:
+        """(synthesis, analysis) lattice bins of the family members (``_lattice_band``)."""
+        return tuple(_lattice_band(self.pair, w) for w in _roles(self.swapped))
+
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Decreasing singular values of the measure-symmetrized matrix M (read-only).
@@ -189,18 +207,21 @@ class LocalizationOperator:
         sorted union of the singular values of its n^d diagonal m x m blocks
         (``_lattice_blocks``).  Else a reflection-even M commutes with the
         reflection P, and the profile is the sorted union of the singular
-        values of its even and odd blocks (``_reflection_blocks``).
-        Otherwise it is one dense SVD of M.  Each SVD is in real arithmetic
-        for a real matrix.
+        values of its even and odd blocks (``_reflection_blocks``).  Else a
+        real M takes one real SVD, and a complex M one SVD of the band block
+        of U M U^H (``_band_block``), whose other entries vanish; the
+        profile is padded with that many exact zeros.
         """
         if "x-independent" in self.structures:
             blocks = [_lattice_blocks(self)]
         elif "reflection-even" in self.structures:
             blocks = _reflection_blocks(self)
-        else:
+        elif "real" in self.structures:
             blocks = [_sym_matrix(self)]
-        sv = -np.sort(-np.concatenate([np.linalg.svd(B, compute_uv=False).ravel()
-                                       for B in blocks]))
+        else:
+            blocks = [_band_block(self)]
+        sv = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel() for B in blocks])
+        sv = -np.sort(-np.concatenate([sv, np.zeros(len(self.matrix) - len(sv))]))
         sv.flags.writeable = False
         return sv
 
@@ -226,6 +247,37 @@ def _structures(pair: WaveletPair, symbol: SymbolField) -> tuple[str, ...]:
     taken = (real, even, bool(np.all(v == v[:, :1])))
     return tuple(name for name, on in zip(("real", "reflection-even", "x-independent"), taken)
                  if on)
+
+
+def _roles(swapped: bool) -> tuple[str, str]:
+    """(synthesis, analysis) windows of an operator: psi synthesizes unless swapped."""
+    return ("phi", "psi") if swapped else ("psi", "phi")
+
+
+def _lattice_band(pair: WaveletPair, which: str) -> np.ndarray:
+    """Sorted flat lattice bins that hold the spectrum of every member of ``which`` (read-only).
+
+    On a self-dual grid (``cart_extent == self_dual_extent(n)``, bit for
+    bit) the Cartesian transform factor is the lattice DFT, so the samples
+    of a family member a^gamma tau_x phi_a have lattice spectrum only in the
+    bins (j - n//2) mod n (``cart_bin_index``) of the Cartesian frequency
+    rows j where the window's frequency data are nonzero at some scale and
+    radial node.  A bin is kept when it or its mirror -bin is live: the
+    analysis window enters conjugated, which mirrors its bins, and the
+    closure makes the band one set for both roles.  On any other grid every
+    bin is kept.  Cached on the pair, like its frequency data.
+    """
+    key = which + "_band"
+    if key not in pair._data:
+        g = pair.plan.grid
+        live = np.any(pair.freq_data(which) != 0, axis=(0, 2))
+        live |= g.cart_extent != self_dual_extent(g.cart_points)
+        keep = np.zeros(g.n_cart, dtype=bool)
+        keep[g.cart_bin_index()] = live | live[g.cart_reflect_index()]
+        band = np.flatnonzero(keep)
+        band.flags.writeable = False
+        pair._data[key] = band
+    return pair._data[key]
 
 
 def _lattice_blocks(L: LocalizationOperator) -> np.ndarray:
@@ -279,6 +331,25 @@ def _reflection_blocks(L: LocalizationOperator) -> tuple[np.ndarray, np.ndarray]
     return even, odd
 
 
+def _band_block(L: LocalizationOperator) -> np.ndarray:
+    """Band block of U M U^H, U the unitary DFT over the Cartesian index.
+
+    R is the inverse lattice DFT of R^[k, y_r, l, z_r] (``_assemble_matrix``)
+    in both Cartesian indices, and the Cartesian weights are uniform, so row
+    k of U M U^H is a multiple of R^[k] and column l of R^[:, -l]: both
+    vanish outside the bands of ``L.band``, which are closed under l -> -l.
+    The DFTs run in place on the measure-symmetrized copy of R.
+    """
+    g = L.grid
+    n, d = g.cart_points, g.d
+    m = g.radial_points
+    M = _sym_matrix(L).reshape((n,) * d + (m,) + (n,) * d + (m,))
+    M = sp_fft.fftn(M, axes=tuple(range(d)), norm="ortho", overwrite_x=True)
+    M = sp_fft.ifftn(M, axes=tuple(range(d + 1, 2 * d + 1)), norm="ortho", overwrite_x=True)
+    rows, cols = ((b[:, None] * m + np.arange(m)).ravel() for b in L.band)
+    return M.reshape(g.n_nodes, g.n_nodes)[np.ix_(rows, cols)]
+
+
 def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
                      structures: tuple[str, ...]) -> np.ndarray:
     """R(y,z) = sum_j w_j sum_x w_x sigma (tau_x psi_a)(y) conj(tau_x phi_a)(z).
@@ -297,12 +368,18 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
     (j, x_r) followed by an inverse DFT over l; a last inverse DFT over k
     gives R.  The cost is J n^{2d} m^3, not J (n^d m)^3.
 
+    Gs^_j[k] vanishes for k outside the synthesis window's lattice band and
+    Ga^_j[l] for l outside the analysis window's (``_lattice_band``), so
+    only the band rows k are computed, each on the band columns l only (Ga^
+    and the D^[k + l] gather hold just those); every other entry of R^ is
+    exactly 0.
+
     If the operator is "real" (``_structures``: a real symbol, and both
     windows' frequency data conjugate-symmetric under the lattice
-    reflection), R is real and R^[-k, -l] = conj R^[k, l].  Only the rows
-    k whose last Cartesian component is at most n//2 are then computed,
+    reflection), R is real and R^[-k, -l] = conj R^[k, l].  Only the band
+    rows k whose last Cartesian component is at most n//2 are then computed,
     and the last inverse DFT over k is a real one (``irfftn``) that returns
-    a float64 matrix.  Otherwise every row is computed and R is complex.
+    a float64 matrix.  Otherwise every band row is computed and R is complex.
 
     If the real operator is also "reflection-even", the window data and
     D are even about the lattice origin once D is centred there as the
@@ -318,7 +395,8 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
     n, d = g.cart_points, g.d
     nc, m = g.shape
     Jm = sg.scale_points * m
-    analysis, synthesis = ("psi", "phi") if swapped else ("phi", "psi")
+    synthesis, analysis = _roles(swapped)
+    syn_band, ana_band = _lattice_band(pair, synthesis), _lattice_band(pair, analysis)
     real = "real" in structures
     centred = real and "reflection-even" in structures
 
@@ -329,26 +407,29 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
         return hat.real.copy() if centred else hat
 
     syn_hat = spectrum(pair.space_data(synthesis).transpose(1, 0, 2))
-    ana_hat = spectrum(np.conj(pair.space_data(analysis)).transpose(1, 0, 2))
-    # Ga^[(j, x_r), l, z_r] for every scale, contiguous so that each row's
-    # product with D^ reads it in order; Gs^ is contracted per row k below
+    ana_hat = spectrum(np.conj(pair.space_data(analysis)).transpose(1, 0, 2))[ana_band]
+    # Ga^[(j, x_r), l, z_r] for every scale and band column l, contiguous so
+    # that each row's product with D^ reads it in order; Gs^ is contracted
+    # per row k below
     Ga = np.ascontiguousarray(np.einsum("xzr,ljr->jxlz", K, ana_hat,
-                                        optimize=True)).reshape(Jm, nc, m)
+                                        optimize=True)).reshape(Jm, len(ana_band), m)
     c = sg.scale_weights * sg.scales ** (2.0 * pair.gamma - sg.measure_power)
     D = (c[:, None, None] * g.node_weights * symbol.values).transpose(1, 0, 2)
     # D^[(j, x_r), p], C-ordered so that a row's product with Ga reshapes as a view
     D = np.ascontiguousarray((spectrum(D) if centred else cart_fft(g, D)).reshape(nc, Jm).T)
-    k_plus_l = g.cart_sum_index()
+    k_plus_l = g.cart_sum_index()[:, ana_band]
     # rows k in C order (the last Cartesian component is k mod n): the half
-    # spectrum k_d <= n//2 of a real R, else all
+    # spectrum k_d <= n//2 of a real R, else all; of those, the band rows
     rows = np.flatnonzero(np.arange(nc) % n <= n // 2) if real else np.arange(nc)
-    R = np.empty((len(rows), m, nc, m), dtype=np.complex128)     # [k, y_r, z_c, z_r]
+    R = np.zeros((len(rows), m, nc, m), dtype=np.complex128)     # [k, y_r, z_c, z_r]
     DGa = np.empty_like(Ga)     # one buffer for every row's D^[k + l] Ga^ product
-    for i, k in enumerate(rows):
+    for i in np.flatnonzero(np.isin(rows, syn_band)):
+        k = rows[i]
         # Gs^[y_r, (j, x_r)] = sum_r K[x_r, y_r, r] syn^[k, j, r]
         Gs = (K @ syn_hat[k].T).transpose(1, 2, 0).reshape(m, Jm)
-        row = Gs @ np.multiply(D[:, k_plus_l[k], None], Ga, out=DGa).reshape(Jm, nc * m)
-        R[i] = sp_fft.ifftn(row.reshape((m,) + (n,) * d + (m,)), axes=tuple(range(1, d + 1)),
+        row = Gs @ np.multiply(D[:, k_plus_l[k], None], Ga, out=DGa).reshape(Jm, -1)
+        R[i][:, ana_band] = row.reshape(m, len(ana_band), m)
+        R[i] = sp_fft.ifftn(R[i].reshape((m,) + (n,) * d + (m,)), axes=tuple(range(1, d + 1)),
                             overwrite_x=True).reshape(m, nc, m)
     axes = tuple(range(d))
     if real:

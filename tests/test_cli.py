@@ -50,6 +50,14 @@ def test_localize_reports_operator_structures(tmp_path, capsys, symbol, structur
     assert f"operator structures: {structures}\n" in capsys.readouterr().out
 
 
+def test_localize_reports_lattice_band(tmp_path, capsys):
+    # the band taper zeroes 3 of the 12 Cartesian frequency rows of both windows
+    code, _ = run_cli(["localize"], tmp_path)
+    assert code == 0
+    assert ("operator structures: real, reflection-even\n"
+            "lattice band: 9/12 synthesis bins, 9/12 analysis bins\n") in capsys.readouterr().out
+
+
 def test_config_error_exit_code(tmp_path):
     code = main(["--set", "alpha=-0.9", "transform"])
     assert code == 2

@@ -10,11 +10,11 @@ from hypothesis import strategies as st_
 
 from weinstein import localization as loc
 from weinstein.grids import (Field, build_base_grid, build_scale_grid, inner_product,
-                             lp_norm, scale_lp_norm, ScaleField)
+                             lp_norm, scale_lp_norm, self_dual_extent, ScaleField)
 from weinstein.probes import gaussian, random_even_field, random_field
 from weinstein.transform import build_plan, inverse
 from weinstein.translation import ThetaRule, TranslationKernel, translate
-from weinstein.wavelets import (Window, WaveletPair, build_pair, family_member,
+from weinstein.wavelets import (Window, WaveletPair, band_taper, build_pair, family_member,
                                 scaled_window_data)
 
 
@@ -142,8 +142,8 @@ def _family(pair, window):
     return np.array(fam)
 
 
-def _small_pair(alpha, d, n, m, scales=6):
-    g = build_base_grid(alpha, d, n, m)
+def _small_pair(alpha, d, n, m, scales=6, cart_extent=None):
+    g = build_base_grid(alpha, d, n, m, cart_extent)
     plan = build_plan(g)
     sg = build_scale_grid(g, 1 / 16, 16.0, scales)
     return build_pair(plan, sg, TranslationKernel(g, ThetaRule(alpha, 32)))
@@ -157,21 +157,41 @@ def _modulated(pair):
     return build_pair(pair.plan, pair.scale_grid, pair.kernel, phi, pair.psi)
 
 
+def _one_sided(pair):
+    """The pair with psi's frequency profile cut to lambda_1 > 0: an asymmetric live set."""
+    g, plan = pair.plan.grid, pair.plan
+
+    def profile(pts):
+        pts = np.asarray(pts, dtype=float)
+        s2 = np.sum(pts**2, axis=-1)
+        return np.where(pts[..., 0] > 0, s2 * np.exp(-0.5 * s2), 0.0)
+
+    values = (profile(g.nodes()).reshape(g.shape) * band_taper(g)).astype(complex)
+    psi = Window(field=inverse(plan, Field(g, values)), freq_profile=profile)
+    return build_pair(plan, pair.scale_grid, pair.kernel, pair.phi, psi)
+
+
 @pytest.mark.parametrize("d,n,m,scales", [(1, 11, 8, 6), (1, 10, 8, 6), (2, 10, 4, 3)])
 def test_assembly_matches_definition(d, n, m, scales):
+    _assert_assembly_matches_definition(_small_pair(0.5, d, n, m, scales))
+
+
+def _assert_assembly_matches_definition(pair):
     # R(y, z) = sum_j w_j a_j^{-q} sum_x w_x sigma psi_{a,x}(y) conj(phi_{a,x}(z)),
     # summed member by member; real and complex symbols, a complex window
-    # without a frequency profile, both orientations
-    pair = _small_pair(0.5, d, n, m, scales)
-    pair_mod = _modulated(pair)
+    # without a frequency profile, a window with a one-sided lattice band,
+    # both orientations
+    pair_mod, pair_one = _modulated(pair), _one_sided(pair)
     g, sg = pair.plan.grid, pair.scale_grid
     x1 = g.nodes()[:, 0].reshape(g.shape)
     bump = loc.symbol_bump(sg)
     bump_mod = loc.SymbolField(sg, bump.values * np.exp(0.8j * x1)[None])
     fam = {"phi": _family(pair, pair.phi), "psi": _family(pair, pair.psi)}
     fam_mod = dict(fam, phi=_family(pair_mod, pair_mod.phi))
+    fam_one = dict(fam, psi=_family(pair_one, pair_one.psi))
     w = g.node_weights.reshape(-1)
-    for pr, fm, sym in ((pair, fam, bump), (pair, fam, bump_mod), (pair_mod, fam_mod, bump)):
+    for pr, fm, sym in ((pair, fam, bump), (pair, fam, bump_mod), (pair_mod, fam_mod, bump),
+                        (pair_one, fam_one, bump)):
         for swapped in (False, True):
             syn, ana = ("phi", "psi") if swapped else ("psi", "phi")
             R = np.zeros((g.n_nodes, g.n_nodes), dtype=complex)
@@ -392,6 +412,8 @@ def test_structure_routes_match_dense_reference(alpha, d, n, m):
         (pair, loc.SymbolField(sg, so.values * (1 - 0.6j)), False, True),
         (_modulated(pair), loc.symbol_indicator(sg), False, True),
         (_modulated(pair), loc.symbol_bump(sg), False, False),
+        (_one_sided(pair), loc.symbol_indicator(sg), False, True),
+        (_one_sided(pair), loc.symbol_bump(sg), False, False),
     ]
     for pr, sym, real, x_indep in cases:
         for swapped in (False, True):
@@ -674,6 +696,83 @@ def test_block_route_peak_stays_near_the_matrix():
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * L.matrix.nbytes, (L.matrix.dtype, peak / L.matrix.nbytes)
+
+
+def _oracle_band(pair, which):
+    """Flat lattice bins (j - n//2) mod n of the live frequency rows j and their mirrors."""
+    g = pair.plan.grid
+    n, d = g.cart_points, g.d
+    fd = pair.freq_data(which)
+    live = {tuple((j - n // 2) % n for j in node)
+            for flat, node in enumerate(np.ndindex(*(n,) * d)) if np.any(fd[:, flat, :] != 0)}
+    mirrors = {tuple(-b % n for b in bins) for bins in live}
+    return live, sorted(np.ravel_multi_index(b, (n,) * d) for b in live | mirrors)
+
+
+@pytest.mark.parametrize("d,n,m", [(1, 10, 8), (1, 11, 8), (2, 10, 4), (2, 9, 4)])
+def test_lattice_band_is_the_live_rows_and_their_mirrors(d, n, m):
+    pair = _small_pair(0.5, d, n, m, scales=3)
+    one = _one_sided(pair)
+    for pr, which in ((pair, "phi"), (pair, "psi"), (_modulated(pair), "phi"), (one, "psi")):
+        band = loc._lattice_band(pr, which)
+        live, expect = _oracle_band(pr, which)
+        assert band.tolist() == expect, which
+        assert len(band) < n**d        # the taper's zero rows are left out
+        assert not band.flags.writeable and loc._lattice_band(pr, which) is band
+    # lambda_1 > 0 only: the live set is not its own mirror, the band is,
+    # and the dead row lambda_1 = 0 (bin 0 on the first axis) is left out
+    live, _ = _oracle_band(one, "psi")
+    assert live != {tuple(-b % n for b in bins) for bins in live}
+    band = loc._lattice_band(one, "psi")
+    assert not np.any(np.unravel_index(band, (n,) * d)[0] == 0)
+    for swapped in (False, True):
+        L = loc.LocalizationOperator(pair=one, symbol=loc.symbol_bump(one.scale_grid),
+                                     swapped=swapped)
+        syn, ana = L.band
+        assert (syn is band) is not swapped and (ana is band) is swapped
+
+
+def test_band_keeps_every_bin_off_the_self_dual_grid():
+    # on a box 1.1 times the self-dual one the transform factor is no lattice
+    # DFT: the taper still zeroes the outer frequency rows, but every bin stays
+    pair = _small_pair(0.5, 1, 10, 8, cart_extent=1.1 * self_dual_extent(10))
+    assert not np.all(np.any(pair.freq_data("phi") != 0, axis=(0, 2)))
+    for pr in (pair, _one_sided(pair), _modulated(pair)):
+        for which in ("phi", "psi"):
+            assert loc._lattice_band(pr, which).tolist() == list(range(10))
+    _assert_assembly_matches_definition(pair)
+    sym = loc.SymbolField(pair.scale_grid, loc.symbol_bump(pair.scale_grid).values * (1 - 0.6j)
+                          * np.exp(0.8j * pair.plan.grid.nodes()[:, 0].reshape(10, 8)))
+    for swapped in (False, True):
+        L = loc.LocalizationOperator(pair=pair, symbol=sym, swapped=swapped)
+        assert L.structures == ()
+        sv, ref = loc.singular_value_profile(L), _reference_profile(L)
+        assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
+
+
+def test_dense_band_route_peak_stays_near_the_matrix():
+    # the band block is gathered with one np.ix_ from the measure-symmetrized
+    # copy, transformed in place; the assembly's buffers hold the band columns
+    pair = _small_pair(0.5, 1, 32, 32, scales=20)
+    g = pair.plan.grid
+    x1 = g.nodes()[:, 0].reshape(g.shape)
+    sym = loc.SymbolField(pair.scale_grid,
+                          loc.symbol_bump(pair.scale_grid).values * np.exp(0.8j * x1))
+    loc.assemble(pair, loc.symbol_bump(pair.scale_grid))      # windows' data cached
+
+    def peak(stage):
+        tracemalloc.start()
+        try:
+            out = stage()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    L, assembly = peak(lambda: loc.assemble(pair, sym))
+    _, svd = peak(lambda: L.singular_values)
+    assert L.structures == () and [len(b) for b in L.band] == [25, 25]
+    peaks = (assembly / L.matrix.nbytes, svd / L.matrix.nbytes)
+    assert peaks[0] <= 2.25 and peaks[1] <= 1.7, peaks
 
 
 @settings(max_examples=25, deadline=None)
