@@ -8,8 +8,8 @@ Inputs come from ``verify.config_stack`` and ``verify.config_windows``.
 transform reads window_phi (default: the Gaussian) on the main grid and
 rejects a window_psi; cwt and verify read both windows on the main grid;
 localize reads both windows and the symbol on the operator grid (op_n,
-op_m, op_scales); convergence runs the default windows on boxes of its own
-and rejects window and extent settings.
+op_m, op_scales); convergence runs the default windows on the main grid
+doubled per level, on self-dual boxes, and rejects window and extent settings.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration error
 (including a setting the command cannot take, or a CSV input that cannot
@@ -118,30 +118,26 @@ def cmd_localize(cfg) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(cfg) -> int:
+def _write_rows(cfg, rows, name: str) -> int:
+    """Write ``rows`` to ``name`` in the output directory, print each verdict; 0 iff all pass."""
     from .report import rows_to_csv
-    from .verify import run_verify
-    rows = run_verify(cfg)
-    out = _out_dir(cfg)
-    (out / "report.csv").write_text(rows_to_csv(rows))
+    path = _out_dir(cfg) / name
+    path.write_text(rows_to_csv(rows))
     n_fail = sum(1 for r in rows if not r.passed)
     for r in rows:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.check_id}")
-    print(f"{len(rows) - n_fail}/{len(rows)} checks passed; report at {out / 'report.csv'}")
+    print(f"{len(rows) - n_fail}/{len(rows)} checks passed; report at {path}")
     return 0 if n_fail == 0 else 1
+
+
+def cmd_verify(cfg) -> int:
+    from .verify import run_verify
+    return _write_rows(cfg, run_verify(cfg), "report.csv")
 
 
 def cmd_convergence(cfg, levels: int) -> int:
     from .convergence import run_convergence
-    from .report import rows_to_csv
-    rows = run_convergence(cfg, levels)
-    out = _out_dir(cfg)
-    (out / "convergence.csv").write_text(rows_to_csv(rows))
-    n_fail = sum(1 for r in rows if not r.passed)
-    for r in rows:
-        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.check_id}: {r.lhs:.3e}")
-    print(f"{len(rows) - n_fail}/{len(rows)} rows passed; report at {out / 'convergence.csv'}")
-    return 0 if n_fail == 0 else 1
+    return _write_rows(cfg, run_convergence(cfg, levels), "convergence.csv")
 
 
 def main(argv=None) -> int:

@@ -210,10 +210,8 @@ def admissibility_constant(plan: TransformPlan, scale_grid: ScaleGrid,
     spread is max |C(xi) - C| / |C| over the sample set; it certifies the
     constancy the admissibility definition demands.
     """
-    vals = _scale_integrals(plan, scale_grid, window, window)
-    mean = float(np.real(vals.mean()))
-    spread = float(np.max(np.abs(vals - vals.mean())) / max(abs(mean), 1e-300))
-    return mean, spread
+    C, spread = two_wavelet_constant(plan, scale_grid, window, window)
+    return C.real, spread
 
 
 def two_wavelet_constant(plan: TransformPlan, scale_grid: ScaleGrid,

@@ -287,6 +287,41 @@ def test_convergence_rejects_extents(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+QUANTITIES = ("plancherel", "parseval", "roundtrip", "wavelet_parseval", "inversion")
+
+
+def test_convergence_gates_every_quantity():
+    # every quantity reports both levels and one ratio row, gated at RATIO_MIN
+    from weinstein.config import RunConfig
+    from weinstein.convergence import RATIO_MIN, run_convergence
+    rows = run_convergence(RunConfig(n=16, m=16, scales=12).validate(), levels=2)
+    assert [r.check_id for r in rows] == [f"convergence.{q}.{tag}" for q in QUANTITIES
+                                          for tag in ("level0", "level1", "ratio1")]
+    ratios = [r for r in rows if ".ratio" in r.check_id]
+    assert ratios and all(r.rhs == RATIO_MIN and r.statement.endswith(f">= {RATIO_MIN}")
+                          for r in ratios)
+
+
+def test_convergence_reports_levels_before_an_exhausted_one(tmp_path, monkeypatch):
+    # a level that runs out of memory ends the study with a flagged partial
+    # report: the levels before it and no ratio to a level that never ran
+    from weinstein import convergence
+    level_errors = convergence._level_errors
+
+    def exhausted_at_level1(config, level):
+        if level == 1:
+            raise MemoryError
+        return level_errors(config, level)
+
+    monkeypatch.setattr(convergence, "_level_errors", exhausted_at_level1)
+    code, out = run_cli(["convergence"], tmp_path)
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO((out / "convergence.csv").read_text())))
+    assert [r["check_id"] for r in rows] == (["convergence.partial.level1"]
+                                             + [f"convergence.{q}.level0" for q in QUANTITIES])
+    assert [r["pass"] for r in rows] == ["0"] + ["1"] * len(QUANTITIES)
+
+
 def test_localize_reports_uneven_csv_symbol(tmp_path, capsys):
     # a real symbol centred off the origin is not reflection-even: the
     # operator stays real, on the plain real route
