@@ -80,7 +80,7 @@ def cmd_cwt(cfg) -> int:
 def cmd_localize(cfg) -> int:
     from . import localization as loc
     from .report import matrix_to_csv
-    from .verify import _symbols, config_stack, config_windows, tolerances
+    from .verify import TOL, _symbols, config_stack, config_windows
     from .wavelets import build_pair
     st = config_stack(cfg, cfg.alpha, operators=True)
     pair = build_pair(st.plan, st.scale_grid, st.kernel, *config_windows(cfg, st.grid))
@@ -104,14 +104,13 @@ def cmd_localize(cfg) -> int:
     # bound report: one row per (theorem, p) with the dominance ratio
     from .report import fmt
     lines = ["theorem_id,p,measured,bound,ratio"]
-    slack = tolerances(cfg)["bound_slack"]
     ok = True
     for p in (1, 2, np.inf):
         measured = loc.measured_norm(L, p)
         _, _, every = loc.theoretical_bound(pair, sym, p)
         for name, val in sorted(every.items()):
             ratio = measured / val if val > 0 else np.inf
-            ok = ok and ratio <= 1.0 + slack
+            ok = ok and ratio <= 1.0 + TOL["bound_slack"]
             lines.append(f"{name},{p},{fmt(measured)},{fmt(val)},{fmt(ratio)}")
     (out / "bounds.csv").write_text("\n".join(lines) + "\n")
     print(f"operator written to {out / 'operator.csv'}; bound report to {out / 'bounds.csv'}")

@@ -3,6 +3,7 @@
 Format: one ``key = value`` pair per line, '#' starts a comment, blank
 lines ignored.  Unknown keys and malformed values raise ConfigError with
 the offending line.  ``serialize`` round-trips to an equal config.
+No key sets a tolerance: each is declared once, in ``verify.TOL``.
 """
 
 from __future__ import annotations
@@ -43,14 +44,6 @@ class RunConfig:
     alphas: str = "0,0.5,1.5"    # alpha sweep for the verification suite
     seed: int = 42
     out_dir: str = "out"
-    # tolerance overrides: tol_<key> replaces verify.TOL[<key>] (0 = built-in default)
-    tol_kernel: float = 0.0
-    tol_transform: float = 0.0
-    tol_convolution: float = 0.0
-    tol_wavelet: float = 0.0
-    tol_operator_exact: float = 0.0
-    tol_bound_slack: float = 0.0
-    tol_examples: float = 0.0
 
     def alpha_list(self) -> list[float]:
         try:

@@ -119,35 +119,31 @@ def symbol_indicator(scale_grid: ScaleGrid) -> SymbolField:
     return SymbolField(scale_grid, np.ones(scale_grid.shape), declared_class="indicator")
 
 
-def symbol_bump(scale_grid: ScaleGrid, log_a_width: float = 0.7,
-                space_width: float = 1.2) -> SymbolField:
-    """Gaussian bump in (log a, x): a genuinely integrable localized symbol."""
-    la = np.log(scale_grid.scales)
-    chi = np.exp(-(la**2) / (2 * log_a_width**2))
-    pts = scale_grid.base.nodes()
-    zeta = np.exp(-np.sum(pts**2, axis=-1) / (2 * space_width**2)).reshape(scale_grid.base.shape)
-    vals = chi[:, None, None] * zeta[None]
-    return SymbolField(scale_grid, vals, declared_class="l1_bump", chi=chi, zeta=zeta)
-
-
-def symbol_separable(scale_grid: ScaleGrid, log_a_center: float = 0.3,
-                     log_a_width: float = 0.5, space_width: float = 1.0) -> SymbolField:
-    """chi(a) zeta(x) with log-normal chi and a spatial Gaussian zeta."""
+def _gaussian_symbol(scale_grid: ScaleGrid, declared_class: str, log_a_center: float,
+                     log_a_width: float, space_width: float) -> SymbolField:
+    """chi(a) zeta(x): log-normal chi, spatial Gaussian zeta (constant 1 at width inf)."""
     la = np.log(scale_grid.scales)
     chi = np.exp(-((la - log_a_center) ** 2) / (2 * log_a_width**2))
     pts = scale_grid.base.nodes()
     zeta = np.exp(-np.sum(pts**2, axis=-1) / (2 * space_width**2)).reshape(scale_grid.base.shape)
     vals = chi[:, None, None] * zeta[None]
-    return SymbolField(scale_grid, vals, declared_class="separable", chi=chi, zeta=zeta)
+    return SymbolField(scale_grid, vals, declared_class=declared_class, chi=chi, zeta=zeta)
 
 
-def symbol_scale_only(scale_grid: ScaleGrid, log_a_width: float = 0.6) -> SymbolField:
+def symbol_bump(scale_grid: ScaleGrid) -> SymbolField:
+    """Gaussian bump in (log a, x): a genuinely integrable localized symbol."""
+    return _gaussian_symbol(scale_grid, "l1_bump", 0.0, 0.7, 1.2)
+
+
+def symbol_separable(scale_grid: ScaleGrid, log_a_center: float = 0.3,
+                     log_a_width: float = 0.5, space_width: float = 1.0) -> SymbolField:
+    """chi(a) zeta(x) with log-normal chi and a spatial Gaussian zeta."""
+    return _gaussian_symbol(scale_grid, "separable", log_a_center, log_a_width, space_width)
+
+
+def symbol_scale_only(scale_grid: ScaleGrid) -> SymbolField:
     """chi(a), constant in x: the multiplier case."""
-    la = np.log(scale_grid.scales)
-    chi = np.exp(-(la**2) / (2 * log_a_width**2))
-    vals = np.broadcast_to(chi[:, None, None], scale_grid.shape).copy()
-    zeta = np.ones(scale_grid.base.shape)
-    return SymbolField(scale_grid, vals, declared_class="scale_only", chi=chi, zeta=zeta)
+    return _gaussian_symbol(scale_grid, "scale_only", 0.0, 0.6, np.inf)
 
 
 def symbol_single_cell(scale_grid: ScaleGrid, j: int, flat_cart: int, rad: int) -> SymbolField:
@@ -537,13 +533,11 @@ def theoretical_bound(pair: WaveletPair, symbol: SymbolField,
                       p: float) -> tuple[float, str, dict]:
     """Tightest applicable norm bound with its tag plus every applicable bound.
 
-    Raises if no bound applies to the (class, p) combination.
+    ``interp``, ``holder`` and ``schur`` apply at every p >= 1.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     bounds = all_bounds(pair, symbol, p)
-    if not bounds:
-        raise ValueError(f"no norm bound applies for p={p}")
     tag = min(bounds, key=bounds.get)
     return bounds[tag], tag, bounds
 

@@ -130,7 +130,7 @@ def test_declared_columns_unchanged(battery):
     cols += [(r.check_id, r.statement, fmt(r.tolerance)) for r in battery]
     text = "".join(",".join(c) + "\n" for c in cols)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "1da75e2aaba3980091f729b01f232a6f4135c7685d35acb440e60bd2e1ba558c")
+        "80519b27eb6db090571185c05acc00d282cbba15446ddb45f172efca9638557f")
 
 
 def test_full_battery_green(battery):

@@ -86,7 +86,7 @@ def test_verify_small_fails_six_rows_and_is_deterministic(tmp_path):
     assert rep1 == rep2
     rows = list(csv.reader(io.StringIO(rep1)))
     assert rows[0] == ["check_id", "statement", "lhs", "rhs", "tolerance", "pass"]
-    assert len(rows) == 1 + 132
+    assert len(rows) == 1 + 129
     # this small grid fails exactly these rows (ROADMAP item 2, small grids:
     # resolution limit or bug is still open), so verify exits 1 both times
     assert code1 == code2 == 1
@@ -268,6 +268,23 @@ def test_verify_rejects_bad_alphas(tmp_path, capsys, alphas):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "localize"])
+@pytest.mark.parametrize("key", ["tol_kernel", "tol_transform", "tol_convolution",
+                                 "tol_wavelet", "tol_operator_exact", "tol_bound_slack",
+                                 "tol_examples"])
+def test_no_setting_overrides_a_tolerance(tmp_path, capsys, command, key):
+    # a tolerance lives only in verify.TOL: a tol_<key> setting, on the
+    # command line or in a file, is an unknown key, rejected before any output
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"{key} = 0.5\n")
+    for extra in (("--set", f"{key}=0.5"), ("--config", str(cfgfile))):
+        code, out = run_cli([command], tmp_path, extra)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unknown key {key!r}" in captured.err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("levels", ["0", "1"])
 def test_convergence_rejects_fewer_than_two_levels(tmp_path, capsys, levels):
     # the study gates the error ratio between levels: it needs two of them
@@ -354,14 +371,15 @@ def test_localize_rejects_symbol_csv_on_other_scales(tmp_path, capsys):
     assert "scale CSV row 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("slack, expect", [("0.01", 1), ("0.05", 0)])
+@pytest.mark.parametrize("slack, expect", [(0.01, 1), (0.05, 0)])
 def test_localize_bound_gate_reads_bound_slack(tmp_path, monkeypatch, slack, expect):
     # every measured/bound ratio is 1.03: a slack of 1% fails it, 5% passes it
-    from weinstein import localization
+    from weinstein import localization, verify
+    monkeypatch.setitem(verify.TOL, "bound_slack", slack)
     monkeypatch.setattr(localization, "measured_norm", lambda L, p: 1.03)
     monkeypatch.setattr(localization, "theoretical_bound",
                         lambda pair, sym, p: (1.0, "fake", {"fake": 1.0}))
-    code, out = run_cli(["localize"], tmp_path, ("--set", f"tol_bound_slack={slack}"))
+    code, out = run_cli(["localize"], tmp_path)
     assert code == expect
     assert "fake,2,1.03" in (out / "bounds.csv").read_text()
 

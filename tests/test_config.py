@@ -76,16 +76,3 @@ def test_overrides():
     assert cfg2.n == 16 and cfg2.m == 8 and cfg2.alpha == 0.0
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["m=four"])
-
-
-def test_tol_fields_override_their_tolerance_entry():
-    from dataclasses import fields
-    from weinstein.verify import TOL, tolerances
-    keys = [f.name for f in fields(RunConfig) if f.name.startswith("tol_")]
-    assert keys
-    assert tolerances(RunConfig()) == TOL
-    for key in keys:
-        name = key[len("tol_"):]
-        assert name in TOL
-        t = tolerances(apply_overrides(RunConfig(), [f"{key} = 0.123"]))
-        assert t == {**TOL, name: 0.123}

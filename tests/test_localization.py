@@ -45,6 +45,33 @@ def test_symbol_builders(st):
                         zeta=2.0 * np.ones(g.shape))
 
 
+def test_gaussian_symbols_keep_their_closed_forms(st):
+    # the smooth classes share one builder; each equals, bit for bit, its
+    # closed form: values, both factors and the declared class
+    g, plan, kern, sg, pair = st
+    la = np.log(sg.scales)
+    pts = sg.base.nodes()
+
+    def zeta(width):
+        return np.exp(-np.sum(pts**2, axis=-1) / (2 * width**2)).reshape(sg.base.shape)
+
+    chi_bump = np.exp(-(la**2) / (2 * 0.7**2))
+    chi_sep = np.exp(-((la - 0.3) ** 2) / (2 * 0.5**2))
+    chi_so = np.exp(-(la**2) / (2 * 0.6**2))
+    cases = [
+        (loc.symbol_bump(sg), "l1_bump", chi_bump, zeta(1.2),
+         chi_bump[:, None, None] * zeta(1.2)[None]),
+        (loc.symbol_separable(sg), "separable", chi_sep, zeta(1.0),
+         chi_sep[:, None, None] * zeta(1.0)[None]),
+        (loc.symbol_scale_only(sg), "scale_only", chi_so, np.ones(sg.base.shape),
+         np.broadcast_to(chi_so[:, None, None], sg.shape).copy()),
+    ]
+    for sym, declared, chi, z, vals in cases:
+        assert sym.declared_class == declared
+        assert np.array_equal(sym.chi, chi) and np.array_equal(sym.zeta, z)
+        assert np.array_equal(sym.values, vals.astype(np.complex128))
+
+
 def test_zero_symbol_gives_zero_operator(st):
     g, plan, kern, sg, pair = st
     L = loc.assemble(pair, loc.SymbolField(sg, np.zeros(sg.shape)))
