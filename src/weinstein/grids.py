@@ -238,6 +238,20 @@ def _matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
         (len(M),) + X.shape[1:])
 
 
+def _matmul_real_right(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X @ M for complex X of shape (N, K) and real M of shape (K, P).
+
+    One real GEMM of the stacked (re, im) parts of X against M, written
+    back into one complex (N, P) array.
+    """
+    N = len(X)
+    R = np.concatenate([X.real, X.imag]) @ M
+    out = np.empty((N, M.shape[1]), dtype=np.complex128)
+    out.real = R[:N]
+    out.imag = R[N:]
+    return out
+
+
 def _same_grid(f, g):
     if f.grid is not g.grid:
         raise ValueError("fields live on different grids")

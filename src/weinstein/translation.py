@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_legendre
 
-from .grids import BaseGrid, Field, _same_grid
+from .grids import BaseGrid, Field, _matmul, _same_grid
 from .special import check_alpha, translation_constant
 from .transform import TransformPlan, forward, inverse
 
@@ -237,7 +237,11 @@ def circular_shift_matrix(grid: BaseGrid, shift: float) -> np.ndarray:
 
 
 def translate(kernel: TranslationKernel, x, f: Field) -> Field:
-    """tau_x f sampled on f's grid; x is any point in R^d x [0, inf)."""
+    """tau_x f sampled on f's grid; x is any point in R^d x [0, inf).
+
+    A radial offset equal to a radial node r_i takes the rows
+    ``kernel.tensor[i]``; any other offset evaluates ``radial_rows``.
+    """
     g = f.grid
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (g.d + 1,):
@@ -245,7 +249,9 @@ def translate(kernel: TranslationKernel, x, f: Field) -> Field:
     if x[g.d] < 0:
         raise ValueError("radial offset must be >= 0")
     cart = [circular_shift_matrix(g, s) for s in x[:g.d]]
-    rows = kernel.radial_rows(float(x[g.d]))  # [y_r, r]
+    # rows [y_r, r]; radial_rows(r_i) would recompute tensor[i] bit for bit
+    node = np.flatnonzero(kernel.grid.radial_nodes == x[g.d])
+    rows = kernel.tensor[node[0]] if len(node) else kernel.radial_rows(float(x[g.d]))
     return Field(g, g.apply_axes(f.values, cart, rows))
 
 
@@ -286,17 +292,26 @@ def cart_fft(grid: BaseGrid, values: np.ndarray, inverse: bool = False) -> np.nd
 def convolve(kernel: TranslationKernel, f: Field, g: Field) -> Field:
     """Weinstein convolution by quadrature over translated windows.
 
-    (f * g)(x) = sum_y w_y g(y) (tau_y f)(x): the radial part contracts the
-    translation tensor once; the Cartesian part is the cyclic lattice
-    convolution sum_{y_c} C(y_c) f(x_c - y_c), done with the FFT and moved
-    to the lattice origin by a shift through node 0.
+    (f * g)(x) = sum_y w_y g(y) (tau_y f)(x): the Cartesian part is the
+    cyclic lattice convolution over y_c, the radial part a contraction of
+    the translation tensor.  The Cartesian weights are uniform, so the
+    lattice DFT commutes with that contraction: the two (n^d, m) fields
+    are transformed first, the tensor is contracted per frequency k,
+
+        spec[k, x_r] = sum_{y_r, r} (w g)^[k, y_r] f^[k, r] K[y_r, x_r, r],
+
+    in one real GEMM, and one inverse FFT and a shift through node 0 move
+    the result to the lattice origin.
     """
     _same_grid(f, g)
     gr = f.grid
-    # C[y_c, x_r, r] = w_c sum_{y_r} w_r g[y_c, y_r] K[y_r, x_r, r]
-    C = np.einsum("c,y,cy,yxr->cxr", gr.cart_weight_flat, gr.radial_weights,
-                  g.values, kernel.tensor, optimize=True)
-    spec = np.einsum("cxr,cr->cx", cart_fft(gr, C), cart_fft(gr, f.values))
+    nc, m = gr.shape
+    G = cart_fft(gr, gr.node_weights * g.values)
+    F = cart_fft(gr, f.values)
+    # [(y_r, r), k] outer products; K mirrors its first two indices bit for
+    # bit, so its (m, m^2) reshape is K[x_r, (y_r, r)]
+    GF = (G.T[:, None, :] * F.T[None, :, :]).reshape(m * m, nc)
+    spec = _matmul(kernel.tensor.reshape(m, m * m), GF).T
     return Field(gr, lattice_shift(gr, cart_fft(gr, spec, inverse=True), 0))
 
 

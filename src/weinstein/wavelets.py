@@ -19,11 +19,12 @@ unaffected; it only conditions the discrete realization of the family.
 
 Two independent evaluation pipelines are provided: ``cwt`` contracts the
 quadrature translation tensor against f and correlates the result with
-the window samples on the lattice (real-space route; the lattice sum uses
-the FFT, exact on the torus), while ``cwt_convolution_form`` evaluates
-a^{alpha+1+d/2} (f_reflected * conj(phi_a)) through Weinstein transform
-products (spectral route).  Their agreement is a structural check on the
-whole translation/dilation convention chain.
+the window samples on the lattice (real-space route; the lattice sums run
+in the lattice spectrum, exact on the torus), while
+``cwt_convolution_form`` evaluates a^{alpha+1+d/2} (f_reflected *
+conj(phi_a)) through Weinstein transform products (spectral route).
+Their agreement is a structural check on the whole translation/dilation
+convention chain.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import (BaseGrid, Field, ScaleField, ScaleGrid, _matmul, inner_product,
-                    reflect, scale_inner_product)
+from .grids import (BaseGrid, Field, ScaleField, ScaleGrid, _matmul, _matmul_real_right,
+                    inner_product, reflect, scale_inner_product)
 from .translation import (TranslationKernel, _cart_eval_matrix, cart_fft,
                           lattice_shift, radial_interp_matrix, translate)
 from .transform import TransformPlan, forward, inverse
@@ -243,7 +244,11 @@ def _scale_integrals(plan, scale_grid, window_phi, window_psi) -> np.ndarray:
 class WaveletPair:
     """Two windows with cached admissibility data and per-scale window data.
 
-    The per-scale data are cached read-only: every later use of the pair reads them.
+    Each window, named ``"phi"`` or ``"psi"``, has three per-scale arrays,
+    each computed at its first use and cached read-only, so every later use
+    of the pair reads them: its tapered frequency data (``freq_data``),
+    its samples in space (``space_data``) and the lattice spectrum of those
+    samples (``lattice_spectrum``), which ``cwt`` and ``invert_cwt`` read.
     """
 
     plan: TransformPlan
@@ -275,10 +280,15 @@ class WaveletPair:
         return self.plan.grid.gamma
 
     def freq_data(self, which: str) -> np.ndarray:
-        """(J, n^d, m) stacked tapered frequency data F(phi)(a_j xi) T(xi)."""
+        """(J, n^d, m) stacked tapered frequency data F(phi)(a_j xi) T(xi).
+
+        ``which`` names the window, "phi" or "psi"; any other name raises
+        ValueError.
+        """
+        if which not in ("phi", "psi"):
+            raise ValueError(f"window must be 'phi' or 'psi', got {which!r}")
         if which not in self._data:
             window = self.phi if which == "phi" else self.psi
-            g = self.plan.grid
             out = np.empty(self.scale_grid.shape, dtype=np.complex128)
             for j, a in enumerate(self.scale_grid.scales):
                 out[j] = scaled_window_data(window, self.plan, float(a), self.taper)
@@ -295,6 +305,19 @@ class WaveletPair:
             out = np.empty_like(fd)
             for j in range(self.scale_grid.scale_points):
                 out[j] = inverse(self.plan, Field(g, fd[j])).values
+            out.flags.writeable = False
+            self._data[key] = out
+        return self._data[key]
+
+    def lattice_spectrum(self, which: str) -> np.ndarray:
+        """(n^d, m, J) DFT of ``space_data(which)`` over the Cartesian lattice.
+
+        Index [k, r, j]: lattice frequency k, radial node r, scale j.
+        """
+        key = which + "_spectrum"
+        if key not in self._data:
+            g = self.plan.grid
+            out = np.ascontiguousarray(cart_fft(g, self.space_data(which).transpose(1, 2, 0)))
             out.flags.writeable = False
             self._data[key] = out
         return self._data[key]
@@ -316,23 +339,30 @@ def build_pair(plan: TransformPlan, scale_grid: ScaleGrid, kernel: TranslationKe
 def cwt(pair: WaveletPair, f: Field, which: str = "phi") -> ScaleField:
     """W(f)(a, x) = <f, phi_{a,x}>: real-space quadrature route.
 
-    Contracts the translation tensor against f once, then correlates the
-    result with the window samples phi_a of every scale on the lattice:
-    one batched spectral product B^ conj(phi_a^) over the scale axis, an
-    inverse FFT, and a shift through the node -x_0 (a correlation's
-    lattice origin).  This is the same discrete family realization the
-    localization assembly uses, so operator weak forms match this
-    transform exactly.
+    Contracts the translation tensor against f and correlates the result
+    with the window samples phi_a of every scale on the lattice.  The
+    Cartesian weights are uniform, so the lattice DFT commutes with the
+    contraction, and the route runs in the lattice spectrum: the DFT of
+    the weighted (n^d, m) field f, the tensor contracted per frequency in
+    one real GEMM, one batched product B^ conj(phi_a^) over the scale axis
+    against the pair's cached ``lattice_spectrum``, one inverse FFT, and a
+    shift through the node -x_0 (a correlation's lattice origin).  This is
+    the same discrete family realization the localization assembly uses,
+    so operator weak forms match this transform exactly.
     """
     g = pair.plan.grid
     if f.grid is not g:
         raise ValueError("field not on the pair's grid")
-    # B[y_c, x_r, r] = w_c sum_{y_r} w_r f[y_c, y_r] K[x_r, y_r, r]
-    B = np.einsum("c,y,cy,xyr->cxr", g.cart_weight_flat, g.radial_weights,
-                  f.values, pair.kernel.tensor, optimize=True)
+    nc, m = g.shape
+    # conj(B^)[k, x_r, r] = sum_{y_r} conj((w f)^)[k, y_r] K[x_r, y_r, r]; K
+    # mirrors its first two indices bit for bit, so its (m, m^2) reshape is
+    # K[y_r, (x_r, r)].  Conjugating f's spectrum, not the window's, lets one
+    # cached spectrum per window serve both this route and invert_cwt.
+    Bc = _matmul_real_right(np.conj(cart_fft(g, g.node_weights * f.values)),
+                            pair.kernel.tensor.reshape(m, m * m))
     # spec[k, x_r, j] = sum_r B^[k, x_r, r] conj(phi_j^[k, r])
-    Wh = np.conj(cart_fft(g, pair.space_data(which).transpose(1, 2, 0)))
-    spec = np.matmul(cart_fft(g, B), Wh)
+    spec = np.matmul(Bc.reshape(nc, m, m), pair.lattice_spectrum(which))
+    np.conjugate(spec, out=spec)
     corr = lattice_shift(g, cart_fft(g, spec, inverse=True), g.cart_reflect_index()[0])
     sg = pair.scale_grid
     out = sg.scales[:, None, None] ** pair.gamma * corr.transpose(2, 0, 1)
@@ -371,9 +401,10 @@ def invert_cwt(pair: WaveletPair, W: ScaleField) -> Field:
     Synthesis by quadrature over all scale-space cells with the same
     family realization as ``cwt``.  The lattice convolutions of every
     scale are summed in the spectrum, sum_j c_j W_j^ psi_j^ (one batched
-    product over the scale axis), followed by one inverse FFT, one shift
-    through node 0 and one contraction of the translation tensor.
-    Refuses near-degenerate pairs.
+    product over the scale axis against the pair's cached
+    ``lattice_spectrum``), the translation tensor is contracted there per
+    frequency in one real GEMM, and one inverse FFT of the (n^d, m) result
+    and one shift through node 0 finish it.  Refuses near-degenerate pairs.
     """
     if W.grid is not pair.scale_grid:
         raise ValueError("scale field not on the pair's scale grid")
@@ -383,11 +414,14 @@ def invert_cwt(pair: WaveletPair, W: ScaleField) -> Field:
                          "reconstruction refused")
     g = pair.plan.grid
     sg = pair.scale_grid
+    nc, m = g.shape
     c = sg.scale_weights * sg.scales ** (pair.gamma - sg.measure_power)
     cW = c[:, None, None] * g.node_weights * W.values
     # S^[k, x_r, r] = sum_j c_j (w W_j)^[k, x_r] psi_j^[k, r]
-    spec = np.matmul(cart_fft(g, cW.transpose(1, 2, 0)),
-                     cart_fft(g, pair.space_data("psi").transpose(1, 0, 2)))
-    S = lattice_shift(g, cart_fft(g, spec, inverse=True), 0)
-    out = np.einsum("cxr,xyr->cy", S, pair.kernel.tensor, optimize=True)
+    S = np.matmul(cart_fft(g, cW.transpose(1, 2, 0)),
+                  pair.lattice_spectrum("psi").transpose(0, 2, 1))
+    # out^[k, y_r] = sum_{x_r, r} S^[k, x_r, r] K[x_r, y_r, r]; K mirrors its
+    # first two indices bit for bit, so its (m, m^2) reshape is K[y_r, (x_r, r)]
+    out = _matmul_real_right(S.reshape(nc, m * m), pair.kernel.tensor.reshape(m, m * m).T)
+    out = lattice_shift(g, cart_fft(g, out, inverse=True), 0)
     return Field(g, out / pair.C_phi_psi)

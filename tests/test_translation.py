@@ -247,6 +247,19 @@ def test_circular_shift_matches_double_loop(n, d):
         assert np.array_equal(translate(kern, x, f).values, translate_loop(kern, x, f))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
+def test_translate_to_every_radial_node_matches_radial_rows_route(alpha):
+    # an offset on node r_i reads kernel.tensor[i]; the reference evaluates
+    # radial_rows(r_i) (translate_loop), and both agree bit for bit
+    g = build_base_grid(alpha, 1, 8, 20)
+    kern = TranslationKernel(g, ThetaRule(alpha))
+    rng = np.random.default_rng(5)
+    f = Field(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    for r_i in g.radial_nodes:
+        x = np.array([3 * g.cart_step, r_i])
+        assert np.array_equal(translate(kern, x, f).values, translate_loop(kern, x, f))
+
+
 def test_translate_mass_preservation():
     g, plan, kern = stack()
     f = gaussian(g)

@@ -8,8 +8,8 @@ from weinstein.grids import (Field, build_base_grid, build_scale_grid, inner_pro
                              lp_norm, scale_inner_product, scale_lp_norm, ScaleField)
 from weinstein.probes import gaussian, random_even_field
 from weinstein.transform import build_plan, forward
-from weinstein.translation import (ThetaRule, TranslationKernel, convolve, convolve_spectral,
-                                   translate)
+from weinstein.translation import (ThetaRule, TranslationKernel, cart_fft, convolve,
+                                   convolve_spectral, lattice_shift, translate)
 from weinstein.wavelets import (Window, admissibility_constant, build_pair, cwt,
                                 cwt_convolution_form, check_two_wavelet_parseval,
                                 default_windows, dilate, eval_freq_data, family_member,
@@ -221,6 +221,107 @@ def test_inversion_roundtrip(st, st_odd):
         assert lp_norm(rec - f, 2) / lp_norm(f, 2) < 0.02
         z = ScaleField(sg, np.zeros(sg.shape))
         assert np.max(np.abs(invert_cwt(pair, z).values)) == 0.0
+
+
+# -- the space-first order: contract the translation tensor in space, then
+# FFT the (n^d, m, m) result over the Cartesian axes
+
+def convolve_space_first(kern, f, h):
+    g = f.grid
+    C = np.einsum("c,y,cy,yxr->cxr", g.cart_weight_flat, g.radial_weights,
+                  h.values, kern.tensor, optimize=True)
+    spec = np.einsum("cxr,cr->cx", cart_fft(g, C), cart_fft(g, f.values))
+    return lattice_shift(g, cart_fft(g, spec, inverse=True), 0)
+
+
+def cwt_space_first(pair, f, which):
+    g, sg = pair.plan.grid, pair.scale_grid
+    B = np.einsum("c,y,cy,xyr->cxr", g.cart_weight_flat, g.radial_weights,
+                  f.values, pair.kernel.tensor, optimize=True)
+    Wh = np.conj(cart_fft(g, pair.space_data(which).transpose(1, 2, 0)))
+    spec = np.matmul(cart_fft(g, B), Wh)
+    corr = lattice_shift(g, cart_fft(g, spec, inverse=True), g.cart_reflect_index()[0])
+    return sg.scales[:, None, None] ** pair.gamma * corr.transpose(2, 0, 1)
+
+
+def invert_cwt_space_first(pair, W):
+    g, sg = pair.plan.grid, pair.scale_grid
+    c = sg.scale_weights * sg.scales ** (pair.gamma - sg.measure_power)
+    cW = c[:, None, None] * g.node_weights * W.values
+    spec = np.matmul(cart_fft(g, cW.transpose(1, 2, 0)),
+                     cart_fft(g, pair.space_data("psi").transpose(1, 0, 2)))
+    S = lattice_shift(g, cart_fft(g, spec, inverse=True), 0)
+    return np.einsum("cxr,xyr->cy", S, pair.kernel.tensor, optimize=True) / pair.C_phi_psi
+
+
+def tiny_pair(alpha, d, n, m, scales):
+    g = build_base_grid(alpha, d, n, m)
+    plan = build_plan(g)
+    return build_pair(plan, build_scale_grid(g, 1 / 16, 16.0, scales),
+                      TranslationKernel(g, ThetaRule(alpha, 32)))
+
+
+@pytest.mark.parametrize("alpha,d,n,m", [(0.5, 1, 12, 10), (1.5, 1, 11, 10), (0.0, 2, 6, 5),
+                                         (0.5, 2, 5, 4)])
+def test_spectrum_first_routes_match_space_first_order(alpha, d, n, m):
+    # the lattice DFT commutes with the radial contraction; only the
+    # summation order changes, so the routes agree to rounding
+    pair = tiny_pair(alpha, d, n, m, 8)
+    g = pair.plan.grid
+    rng = np.random.default_rng(n)
+    f, h = (Field(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)) for _ in "fh")
+
+    def close(got, ref):
+        return np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    assert close(convolve(pair.kernel, f, h).values, convolve_space_first(pair.kernel, f, h))
+    for which in ("phi", "psi"):
+        assert close(cwt(pair, f, which).values, cwt_space_first(pair, f, which))
+    W = ScaleField(pair.scale_grid, rng.normal(size=pair.scale_grid.shape)
+                   + 1j * rng.normal(size=pair.scale_grid.shape))
+    assert close(invert_cwt(pair, W).values, invert_cwt_space_first(pair, W))
+
+
+def test_lattice_spectrum_cache_one_read_only_entry_per_window():
+    pair = tiny_pair(0.5, 1, 12, 10, 8)
+    g = pair.plan.grid
+    f = gaussian(g)
+    W = cwt(pair, f, "phi")
+    cwt(pair, f, "psi")
+    invert_cwt(pair, W)
+    cwt(pair, f, "phi")
+    spectra = sorted(k for k in pair._data if k.endswith("_spectrum"))
+    assert spectra == ["phi_spectrum", "psi_spectrum"]
+    for which in ("phi", "psi"):
+        spec = pair.lattice_spectrum(which)
+        assert spec is pair._data[which + "_spectrum"]
+        assert not spec.flags.writeable
+        assert spec.shape == (g.n_cart, g.radial_points, pair.scale_grid.scale_points)
+
+
+def test_cwt_after_invert_matches_fresh_pair():
+    # invert_cwt fills the psi spectrum first; cwt must read the same array
+    used, fresh = tiny_pair(0.5, 1, 12, 10, 8), tiny_pair(0.5, 1, 12, 10, 8)
+    g = used.plan.grid
+    f = random_even_field(g, np.random.default_rng(9))
+    invert_cwt(used, ScaleField(used.scale_grid, np.ones(used.scale_grid.shape)))
+    ref = cwt(fresh, Field(fresh.plan.grid, f.values), "psi").values
+    assert np.array_equal(cwt(used, f, "psi").values, ref)
+
+
+def test_unknown_window_name_rejected():
+    pair = tiny_pair(0.5, 1, 12, 10, 8)
+    f = gaussian(pair.plan.grid)
+    cwt(pair, f, "phi")
+    keys = set(pair._data)
+    for name in ("Phi", "phi_space", "chi"):
+        for route in (cwt, cwt_convolution_form):
+            with pytest.raises(ValueError, match="'phi' or 'psi'"):
+                route(pair, f, name)
+        for call in (pair.freq_data, pair.space_data, pair.lattice_spectrum):
+            with pytest.raises(ValueError, match="'phi' or 'psi'"):
+                call(name)
+    assert set(pair._data) == keys
 
 
 def test_inversion_refuses_degenerate_pair(st):
