@@ -9,7 +9,8 @@ transform reads window_phi (default: the Gaussian) on the main grid and
 rejects a window_psi; cwt and verify read both windows on the main grid;
 localize reads both windows and the symbol on the operator grid (op_n,
 op_m, op_scales); convergence runs the default windows on the main grid
-doubled per level, on self-dual boxes, and rejects window and extent settings.
+doubled per level, on self-dual boxes, and rejects window and radial_extent
+settings.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration error
 (including a setting the command cannot take, or a CSV input that cannot

@@ -28,8 +28,7 @@ class RunConfig:
     d: int = 1
     n: int = 64                 # Cartesian points per axis
     m: int = 64                 # radial points
-    cart_extent: float = 0.0    # 0 means self-dual: sqrt(pi n / 2)
-    radial_extent: float = 0.0  # 0 means same as cart_extent
+    radial_extent: float = 0.0  # R; 0 means R = L = sqrt(pi n / 2)
     a_min: float = 0.0625
     a_max: float = 16.0
     scales: int = 48
@@ -60,8 +59,9 @@ class RunConfig:
         for key in ("n", "m", "op_n", "op_m"):
             if getattr(self, key) < 2:
                 raise ConfigError(f"{key} must be >= 2")
-        if self.cart_extent < 0 or self.radial_extent < 0:
-            raise ConfigError("extents must be positive (or 0 for self-dual)")
+        if not (np.isfinite(self.radial_extent) and self.radial_extent >= 0):
+            raise ConfigError(f"radial_extent must be finite and >= 0 (0 means R = L), "
+                              f"got {self.radial_extent}")
         if not (0 < self.a_min < self.a_max):
             raise ConfigError(f"need 0 < a_min < a_max, got [{self.a_min}, {self.a_max}]")
         if self.scales < 2 or self.op_scales < 2:

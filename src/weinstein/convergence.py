@@ -60,12 +60,12 @@ def run_convergence(config: RunConfig, levels: int = 2) -> list[CheckRow]:
     """Each quantity's error per level, and its gated ratio between successive levels.
 
     The default windows run on self-dual boxes, so a config that sets a
-    window or an extent is rejected (ConfigError), and so are fewer than 2
+    window or radial_extent is rejected (ConfigError), and so are fewer than 2
     levels, which give no ratio to gate.  A level that exhausts resources
     yields a flagged partial report of the levels before it instead of
     aborting the study.
     """
-    fixed = ("window_phi", "window_psi", "cart_extent", "radial_extent")
+    fixed = ("window_phi", "window_psi", "radial_extent")
     overridden = [f"{k}={getattr(config, k)!r}" for k in fixed
                   if getattr(config, k) != getattr(RunConfig, k)]
     if overridden:

@@ -4,9 +4,9 @@ The computational domain is the box [-L, L)^d x (0, R].  The Cartesian
 axes carry a uniform periodic lattice of n points (a torus): translations
 between lattice points are then exact index shifts, and the lattice is
 self-dual for the discrete Fourier factor when L = sqrt(pi * n / 2), which
-is the default extent.  The radial axis carries a Gauss-Legendre rule on
-(0, R] whose weights absorb the measure factor
-r^{2 alpha + 1} / (2^alpha Gamma(alpha + 1)).
+it always is.  The radial axis carries a Gauss-Legendre rule on (0, R]
+whose weights absorb the measure factor r^{2 alpha + 1} / (2^alpha
+Gamma(alpha + 1)).
 
 Fields store values as (n^d, m) arrays: flattened Cartesian index first,
 radial index second.
@@ -39,11 +39,11 @@ class BaseGrid:
 
     alpha: float
     d: int
-    cart_extent: float      # L
     cart_points: int        # n per axis
     radial_extent: float    # R
     radial_points: int      # m
 
+    cart_extent: float = field(init=False)  # L = self_dual_extent(n)
     cart_axis: np.ndarray = field(init=False, repr=False)
     cart_weights: np.ndarray = field(init=False, repr=False)
     radial_nodes: np.ndarray = field(init=False, repr=False)
@@ -54,10 +54,11 @@ class BaseGrid:
         self.d = check_dimension(self.d)
         if self.cart_points < 2 or self.radial_points < 2:
             raise ValueError("need at least 2 points per axis")
-        if self.cart_extent <= 0 or self.radial_extent <= 0:
-            raise ValueError("extents must be positive")
+        if self.radial_extent <= 0:
+            raise ValueError("radial extent must be positive")
         n, m = self.cart_points, self.radial_points
-        L, R = float(self.cart_extent), float(self.radial_extent)
+        L, R = self_dual_extent(n), float(self.radial_extent)
+        self.cart_extent = L
         h = 2.0 * L / n
         self.cart_step = h
         self.cart_axis = (np.arange(n) - n // 2) * h
@@ -157,9 +158,9 @@ class BaseGrid:
     def cart_bin_index(self) -> np.ndarray:
         """(n^d,) flat lattice DFT bin of each Cartesian frequency node: (j - n//2) mod n per axis.
 
-        On a self-dual grid the Cartesian transform factor is the lattice
-        DFT, and frequency node j of a window's data feeds this bin of the
-        lattice spectrum of its samples in space.
+        The grid is self-dual, so the Cartesian transform factor is the
+        lattice DFT, and frequency node j of a window's data feeds this bin
+        of the lattice spectrum of its samples in space.
         """
         n, d = self.cart_points, self.d
         return self._flat(np.indices((n,) * d).reshape(d, -1) - n // 2)
@@ -188,13 +189,10 @@ class BaseGrid:
 
 
 def build_base_grid(alpha: float, d: int, n: int, m: int,
-                    cart_extent: float | None = None,
                     radial_extent: float | None = None) -> BaseGrid:
-    """Build the default grid; extents default to the self-dual value sqrt(pi n/2)."""
-    L = self_dual_extent(n) if cart_extent is None else float(cart_extent)
-    R = L if radial_extent is None else float(radial_extent)
-    return BaseGrid(alpha=alpha, d=d, cart_extent=L, cart_points=n,
-                    radial_extent=R, radial_points=m)
+    """Build a grid on the self-dual box; R defaults to L = sqrt(pi n/2)."""
+    R = self_dual_extent(n) if radial_extent is None else float(radial_extent)
+    return BaseGrid(alpha=alpha, d=d, cart_points=n, radial_extent=R, radial_points=m)
 
 
 @dataclass

@@ -77,8 +77,7 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sp_fft
 
-from .grids import (Field, ScaleField, ScaleGrid, _matmul, lp_norm, scale_lp_norm,
-                    self_dual_extent)
+from .grids import Field, ScaleField, ScaleGrid, _matmul, lp_norm, scale_lp_norm
 from .probes import random_fields
 from .transform import forward, inverse
 from .translation import cart_fft, lattice_shift
@@ -253,21 +252,19 @@ def _roles(swapped: bool) -> tuple[str, str]:
 def _lattice_band(pair: WaveletPair, which: str) -> np.ndarray:
     """Sorted flat lattice bins that hold the spectrum of every member of ``which`` (read-only).
 
-    On a self-dual grid (``cart_extent == self_dual_extent(n)``, bit for
-    bit) the Cartesian transform factor is the lattice DFT, so the samples
-    of a family member a^gamma tau_x phi_a have lattice spectrum only in the
-    bins (j - n//2) mod n (``cart_bin_index``) of the Cartesian frequency
-    rows j where the window's frequency data are nonzero at some scale and
-    radial node.  A bin is kept when it or its mirror -bin is live: the
-    analysis window enters conjugated, which mirrors its bins, and the
-    closure makes the band one set for both roles.  On any other grid every
-    bin is kept.  Cached on the pair, like its frequency data.
+    On the self-dual grid the Cartesian transform factor is the lattice DFT,
+    so the samples of a family member a^gamma tau_x phi_a have lattice
+    spectrum only in the bins (j - n//2) mod n (``cart_bin_index``) of the
+    Cartesian frequency rows j where the window's frequency data are nonzero
+    at some scale and radial node.  A bin is kept when it or its mirror -bin
+    is live: the analysis window enters conjugated, which mirrors its bins,
+    and the closure makes the band one set for both roles.  Cached on the
+    pair, like its frequency data.
     """
     key = which + "_band"
     if key not in pair._data:
         g = pair.plan.grid
         live = np.any(pair.freq_data(which) != 0, axis=(0, 2))
-        live |= g.cart_extent != self_dual_extent(g.cart_points)
         keep = np.zeros(g.n_cart, dtype=bool)
         keep[g.cart_bin_index()] = live | live[g.cart_reflect_index()]
         band = np.flatnonzero(keep)

@@ -243,6 +243,8 @@ def translate(kernel: TranslationKernel, x, f: Field) -> Field:
     ``kernel.tensor[i]``; any other offset evaluates ``radial_rows``.
     """
     g = f.grid
+    if g is not kernel.grid:
+        raise ValueError("field not on the kernel's grid")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (g.d + 1,):
         raise ValueError(f"x must have {g.d + 1} coordinates")
@@ -304,6 +306,8 @@ def convolve(kernel: TranslationKernel, f: Field, g: Field) -> Field:
     the result to the lattice origin.
     """
     _same_grid(f, g)
+    if f.grid is not kernel.grid:
+        raise ValueError("field not on the kernel's grid")
     gr = f.grid
     nc, m = gr.shape
     G = cart_fft(gr, gr.node_weights * g.values)

@@ -185,11 +185,8 @@ class Stack:
 
 
 def build_stack(alpha: float, d: int, n: int, m: int, a_min: float, a_max: float,
-                scales: int, theta_count: int, cart_extent: float = 0.0,
-                radial_extent: float = 0.0) -> Stack:
-    grid = build_base_grid(alpha, d, n, m,
-                           cart_extent if cart_extent > 0 else None,
-                           radial_extent if radial_extent > 0 else None)
+                scales: int, theta_count: int, radial_extent: float = 0.0) -> Stack:
+    grid = build_base_grid(alpha, d, n, m, radial_extent if radial_extent > 0 else None)
     plan = build_plan(grid)
     kernel = TranslationKernel(grid, ThetaRule(alpha, theta_count))
     sg = build_scale_grid(grid, a_min, a_max, scales)
@@ -199,15 +196,14 @@ def build_stack(alpha: float, d: int, n: int, m: int, a_min: float, a_max: float
 def config_stack(config: RunConfig, alpha: float, operators: bool = False) -> Stack:
     """The stack a run of ``config`` works on at ``alpha``.
 
-    The main grid (n, m, scales) on the configured box, or with ``operators``
-    the operator profile (op_n, op_m, op_scales) on its self-dual box.
+    The main grid (n, m, scales) with the configured radial extent, or with
+    ``operators`` the operator profile (op_n, op_m, op_scales) with R = L.
     """
     if operators:
         return build_stack(alpha, config.d, config.op_n, config.op_m, config.a_min,
                            config.a_max, config.op_scales, config.theta_count)
     return build_stack(alpha, config.d, config.n, config.m, config.a_min, config.a_max,
-                       config.scales, config.theta_count, config.cart_extent,
-                       config.radial_extent)
+                       config.scales, config.theta_count, config.radial_extent)
 
 
 def config_windows(config: RunConfig, grid) -> tuple:

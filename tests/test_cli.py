@@ -294,13 +294,30 @@ def test_convergence_rejects_fewer_than_two_levels(tmp_path, capsys, levels):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["cart_extent=6", "radial_extent=6"])
+@pytest.mark.parametrize("setting", ["radial_extent=6"])
 def test_convergence_rejects_extents(tmp_path, capsys, setting):
-    # convergence doubles n on self-dual boxes of its own; an extent it
-    # would ignore is a configuration error
+    # convergence doubles n with R = L on boxes of its own; a radial extent
+    # it would ignore is a configuration error
     code, out = run_cli(["convergence"], tmp_path, ("--set", setting))
     assert code == 2
     assert f"cannot take {setting}.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,how", [("verify", "set"), ("verify", "config"),
+                                         ("convergence", "set")])
+def test_cartesian_extent_is_not_a_setting(tmp_path, capsys, command, how):
+    # the Cartesian box is always the self-dual L = sqrt(pi n / 2), on which
+    # the transform's Cartesian factor is the lattice DFT; any other box
+    # failed reflection, round-trip and wavelet rows, so the key is unknown
+    value = "6" if command == "convergence" else "12"
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"cart_extent = {value}\n")
+    extra = ("--set", f"cart_extent={value}") if how == "set" else ("--config", str(cfgfile))
+    code, out = run_cli([command], tmp_path, extra)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown key 'cart_extent'" in captured.err
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ def test_empty_config_gives_defaults():
     assert cfg.a_max == 16.0
     assert cfg.scales == 48
     assert cfg.seed == 42
-    assert cfg.cart_extent == 0.0  # self-dual extent
 
 
 def test_comments_and_blank_lines():
@@ -53,6 +52,13 @@ def test_malformed_value_names_line():
 def test_scale_range_validation():
     with pytest.raises(ConfigError):
         parse_config("a_min = 2.0\na_max = 1.0")
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_radial_extent_must_be_finite_and_non_negative(value):
+    # a NaN radial extent used to be accepted and gave 106/129 rows at 16/16
+    with pytest.raises(ConfigError, match="radial_extent must be finite and >= 0"):
+        parse_config(f"radial_extent = {value}")
 
 
 def test_roundtrip_serialize_parse():

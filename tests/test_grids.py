@@ -18,7 +18,7 @@ def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_base_grid(0.5, 1, 1, 8)
     with pytest.raises(ValueError):
-        build_base_grid(0.5, 1, 8, 8, cart_extent=-1.0)
+        build_base_grid(0.5, 1, 8, 8, radial_extent=-1.0)
     with pytest.raises(ValueError):
         build_base_grid(-0.6, 1, 8, 8)
 

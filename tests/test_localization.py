@@ -10,7 +10,7 @@ from hypothesis import strategies as st_
 
 from weinstein import localization as loc
 from weinstein.grids import (Field, build_base_grid, build_scale_grid, inner_product,
-                             lp_norm, scale_lp_norm, self_dual_extent, ScaleField)
+                             lp_norm, scale_lp_norm, ScaleField)
 from weinstein.probes import gaussian, random_even_field, random_field
 from weinstein.transform import build_plan, inverse
 from weinstein.translation import ThetaRule, TranslationKernel, translate
@@ -169,8 +169,8 @@ def _family(pair, window):
     return np.array(fam)
 
 
-def _small_pair(alpha, d, n, m, scales=6, cart_extent=None):
-    g = build_base_grid(alpha, d, n, m, cart_extent)
+def _small_pair(alpha, d, n, m, scales=6):
+    g = build_base_grid(alpha, d, n, m)
     plan = build_plan(g)
     sg = build_scale_grid(g, 1 / 16, 16.0, scales)
     return build_pair(plan, sg, TranslationKernel(g, ThetaRule(alpha, 32)))
@@ -432,8 +432,11 @@ def test_structure_routes_match_dense_reference(alpha, d, n, m):
     pair = _small_pair(alpha, d, n, m)
     sg = pair.scale_grid
     so = loc.symbol_scale_only(sg)
+    x1 = pair.plan.grid.nodes()[:, 0].reshape(pair.plan.grid.shape)
     cases = [  # (pair, symbol, real operator, x-independent symbol)
         (pair, loc.symbol_bump(sg), True, False),
+        (pair, loc.SymbolField(sg, loc.symbol_bump(sg).values * (1 - 0.6j)
+                               * np.exp(0.8j * x1)), False, False),
         (pair, loc.symbol_indicator(sg), True, True),
         (pair, so, True, True),
         (pair, loc.SymbolField(sg, so.values * (1 - 0.6j)), False, True),
@@ -447,6 +450,7 @@ def test_structure_routes_match_dense_reference(alpha, d, n, m):
             L = loc.LocalizationOperator(pair=pr, symbol=sym, swapped=swapped)
             assert ("real" in L.structures) is real
             assert ("x-independent" in L.structures) is x_indep
+            assert real or x_indep or L.structures == ()
             assert L.matrix.dtype == (np.float64 if real else np.complex128)
             sv, ref = loc.singular_value_profile(L), _reference_profile(L)
             assert sv.shape == ref.shape and np.all(np.diff(sv) <= 0)
@@ -757,24 +761,6 @@ def test_lattice_band_is_the_live_rows_and_their_mirrors(d, n, m):
                                      swapped=swapped)
         syn, ana = L.band
         assert (syn is band) is not swapped and (ana is band) is swapped
-
-
-def test_band_keeps_every_bin_off_the_self_dual_grid():
-    # on a box 1.1 times the self-dual one the transform factor is no lattice
-    # DFT: the taper still zeroes the outer frequency rows, but every bin stays
-    pair = _small_pair(0.5, 1, 10, 8, cart_extent=1.1 * self_dual_extent(10))
-    assert not np.all(np.any(pair.freq_data("phi") != 0, axis=(0, 2)))
-    for pr in (pair, _one_sided(pair), _modulated(pair)):
-        for which in ("phi", "psi"):
-            assert loc._lattice_band(pr, which).tolist() == list(range(10))
-    _assert_assembly_matches_definition(pair)
-    sym = loc.SymbolField(pair.scale_grid, loc.symbol_bump(pair.scale_grid).values * (1 - 0.6j)
-                          * np.exp(0.8j * pair.plan.grid.nodes()[:, 0].reshape(10, 8)))
-    for swapped in (False, True):
-        L = loc.LocalizationOperator(pair=pair, symbol=sym, swapped=swapped)
-        assert L.structures == ()
-        sv, ref = loc.singular_value_profile(L), _reference_profile(L)
-        assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
 
 
 def test_dense_band_route_peak_stays_near_the_matrix():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from weinstein.grids import Field, build_base_grid, field_from_function, lp_norm, reflect
+from weinstein.grids import (Field, build_base_grid, field_from_function, lp_norm, reflect,
+                             self_dual_extent)
 from weinstein.probes import gaussian, random_field
 from weinstein.transform import (build_plan, check_hausdorff_young, check_parseval,
                                  check_plancherel, forward, inverse)
@@ -16,6 +17,19 @@ def stack(alpha=0.5, d=1, n=48, m=48):
 
 def rel(f, ref):
     return lp_norm(f - ref, 2) / lp_norm(ref, 2)
+
+
+@pytest.mark.parametrize("n", [7, 8, 31, 32, 64, 65])
+def test_cart_factor_is_the_lattice_dft(n):
+    # every grid sits on the self-dual box, so the Cartesian factor
+    # e^{-i lam x} w is w times the lattice DFT in bin order; the lattice
+    # band, reflection and lattice shifts rest on this
+    g, plan = stack(n=n, m=4)
+    assert g.cart_extent == self_dual_extent(n)
+    b = g.cart_bin_index()
+    dft = np.exp(-2j * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
+    w = g.cart_weights[0]
+    assert np.max(np.abs(plan.cart_factor - w * dft[b][:, b])) <= 1e-12 * w
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
