@@ -68,6 +68,8 @@ class RunConfig:
             raise ConfigError("scale counts must be >= 2")
         if self.theta_count < 2:
             raise ConfigError("theta_count must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for key in ("window_phi", "window_psi"):
             v = getattr(self, key)
             if v != "default" and not v.startswith("csv:"):

@@ -165,6 +165,15 @@ class BaseGrid:
         n, d = self.cart_points, self.d
         return self._flat(np.indices((n,) * d).reshape(d, -1) - n // 2)
 
+    def cart_negate_index(self) -> np.ndarray:
+        """(n^d,) permutation sending the lattice DFT bin k to -k (per axis, mod n).
+
+        The spectrum of conj(v) at bin k is conj of v's at -k.  At even n this
+        is ``cart_reflect_index``; at odd n it is not.
+        """
+        n, d = self.cart_points, self.d
+        return self._flat(-np.indices((n,) * d).reshape(d, -1))
+
     def cart_flat_index(self, point) -> int:
         """Flat Cartesian index of a lattice point; raises if off-lattice."""
         point = np.atleast_1d(np.asarray(point, dtype=float))

@@ -13,17 +13,19 @@ so the weak form <L f, g> = int sigma W_phi(f) conj(W_psi(g)) dmu holds as
 a finite-sum identity, not an approximation.  Every term of R is a cyclic
 shift on the Cartesian lattice, so R is assembled in the lattice spectrum,
 where the sum over the Cartesian node x_c becomes one product per pair of
-frequencies (see ``_assemble_matrix``).
+frequencies (see ``_assemble_matrix``).  The windows enter through the
+pair's cached ``WaveletPair.lattice_spectrum``, the array ``cwt`` and
+``invert_cwt`` read, derived from the frequency data.
 
 Every pair has one more exact structure, its lattice band
 (``_lattice_band``).  ``band_taper`` is exactly 0 beyond 0.8 of the
 Cartesian extent, so a window's frequency data vanish on the outer
 Cartesian frequency rows, and on the self-dual grid the Cartesian
-transform factor is the lattice DFT: every family member has lattice
-spectrum only in the bins of the live rows.  The assembly skips the
-spectrum rows and columns outside the two windows' bands, and the dense
-SVD takes only the band block of the unitary lattice DFT of M, whose
-other entries vanish.
+transform factor is the lattice DFT: the lattice spectrum read off those
+rows is exactly 0 outside the bins of the live rows, for every family
+member.  The assembly skips the spectrum rows and columns outside the two
+windows' bands, and the dense SVD takes only the band block of the
+unitary lattice DFT of M, whose other entries vanish.
 
 Three exact structures of the inputs pick cheaper routes.  One function,
 ``_structures``, decides them once per operator from the inputs, bit for
@@ -352,8 +354,11 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
     with c_j = w_j a_j^{2 gamma - q}.  Let G_j[y_c, x_r, y_r] =
     sum_r K[x_r, y_r, r] phi_{a_j}[y_c, r] be the radially contracted window
     moved to the lattice origin: Gs from the synthesis window, Ga from the
-    conjugated analysis window.  Every term is then a cyclic shift in x_c,
-    so the DFT over (y_c, z_c) diagonalizes the sum over x_c:
+    conjugated analysis window.  Their DFTs contract the pair's cached
+    ``lattice_spectrum`` C, Gs^ from C_syn[k] and Ga^ from conj C_ana[-l]
+    (``cart_negate_index``), so no window samples are transformed here.
+    Every term is then a cyclic shift in x_c, so the DFT over (y_c, z_c)
+    diagonalizes the sum over x_c:
 
         R^[k, y_r, l, z_r] = sum_{j, x_r} Gs^_j[k, x_r, y_r] D^_j[k + l, x_r] Ga^_j[l, x_r, z_r],
 
@@ -376,9 +381,10 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
 
     If the real operator is also "reflection-even", the window data and
     D are even about the lattice origin once D is centred there as the
-    windows are, so Gs^, D^ and Ga^ are real and each row is a real
-    product.  Centring D on the origin moves R by n//2 nodes along both
-    Cartesian index sets; the last step rolls it back.  (Uncentred, D^
+    windows are, so Gs^, D^ and Ga^ are real (the windows' spectra have
+    zero imaginary part) and each row is a real product.  Centring D on
+    the origin moves R by n//2 nodes along both Cartesian index sets; the
+    last step rolls it back.  (Uncentred, D^
     is real only up to the phase e^{-2 pi i p (n//2)/n}, which is not
     +-1 at odd n.)
     """
@@ -393,23 +399,25 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
     real = "real" in structures
     centred = real and "reflection-even" in structures
 
-    def spectrum(data):
-        # (n^d, J, m) samples moved to the lattice origin -> their DFT over
-        # x_c, real for a real reflection-even operator
-        hat = cart_fft(g, lattice_shift(g, data, 0))
-        return hat.real.copy() if centred else hat
-
-    syn_hat = spectrum(pair.space_data(synthesis).transpose(1, 0, 2))
-    ana_hat = spectrum(np.conj(pair.space_data(analysis)).transpose(1, 0, 2))[ana_band]
+    # [k, r, j] spectra of the windows at the lattice origin, real for a
+    # real reflection-even operator
+    syn_hat = pair.lattice_spectrum(synthesis)
+    ana_hat = pair.lattice_spectrum(analysis)[g.cart_negate_index()[ana_band]]
+    if centred:
+        syn_hat, ana_hat = syn_hat.real.copy(), ana_hat.real
+    else:
+        ana_hat = np.conj(ana_hat)
     # Ga^[(j, x_r), l, z_r] for every scale and band column l, contiguous so
     # that each row's product with D^ reads it in order; Gs^ is contracted
     # per row k below
-    Ga = np.ascontiguousarray(np.einsum("xzr,ljr->jxlz", K, ana_hat,
+    Ga = np.ascontiguousarray(np.einsum("xzr,lrj->jxlz", K, ana_hat,
                                         optimize=True)).reshape(Jm, len(ana_band), m)
     c = sg.scale_weights * sg.scales ** (2.0 * pair.gamma - sg.measure_power)
     D = (c[:, None, None] * g.node_weights * symbol.values).transpose(1, 0, 2)
-    # D^[(j, x_r), p], C-ordered so that a row's product with Ga reshapes as a view
-    D = np.ascontiguousarray((spectrum(D) if centred else cart_fft(g, D)).reshape(nc, Jm).T)
+    # D^[(j, x_r), p], C-ordered so that a row's product with Ga reshapes as a
+    # view; centred on the lattice origin as the windows are for the real route
+    D = cart_fft(g, lattice_shift(g, D, 0)).real if centred else cart_fft(g, D)
+    D = np.ascontiguousarray(D.reshape(nc, Jm).T)
     k_plus_l = g.cart_sum_index()[:, ana_band]
     # rows k in C order (the last Cartesian component is k mod n): the half
     # spectrum k_d <= n//2 of a real R, else all; of those, the band rows
@@ -418,8 +426,8 @@ def _assemble_matrix(pair: WaveletPair, symbol: SymbolField, swapped: bool,
     DGa = np.empty_like(Ga)     # one buffer for every row's D^[k + l] Ga^ product
     for i in np.flatnonzero(np.isin(rows, syn_band)):
         k = rows[i]
-        # Gs^[y_r, (j, x_r)] = sum_r K[x_r, y_r, r] syn^[k, j, r]
-        Gs = (K @ syn_hat[k].T).transpose(1, 2, 0).reshape(m, Jm)
+        # Gs^[y_r, (j, x_r)] = sum_r K[x_r, y_r, r] syn^[k, r, j]
+        Gs = (K @ syn_hat[k]).transpose(1, 2, 0).reshape(m, Jm)
         row = Gs @ np.multiply(D[:, k_plus_l[k], None], Ga, out=DGa).reshape(Jm, -1)
         R[i][:, ana_band] = row.reshape(m, len(ana_band), m)
         R[i] = sp_fft.ifftn(R[i].reshape((m,) + (n,) * d + (m,)), axes=tuple(range(1, d + 1)),

@@ -62,8 +62,13 @@ def rows_to_csv(rows: list[CheckRow]) -> str:
     return buf.getvalue()
 
 
-def _table_csv(coord_names: list[str], coords, values) -> str:
-    """CSV of one row per value: its coordinates ``coords`` (rows, k), then re, im."""
+def _table_csv(coord_names: list[str], coords, values, what: str) -> str:
+    """CSV of one row per value: its coordinates ``coords`` (rows, k), then re, im.
+
+    Raises ValueError, naming the ``what`` file, if a value is not finite.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} CSV not written: it holds non-finite values")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(coord_names + ["re", "im"])
@@ -85,17 +90,19 @@ def _scale_rows(scale_grid) -> np.ndarray:
 
 def field_to_csv(grid, values) -> str:
     """Field CSV: columns x_1..x_{d+1}, re, im."""
-    return _table_csv(_node_names(grid.d), grid.nodes(), values)
+    return _table_csv(_node_names(grid.d), grid.nodes(), values, "field")
 
 
 def scale_field_to_csv(scale_grid, values) -> str:
     """Scale-space field CSV: columns a, x_1..x_{d+1}, re, im."""
-    return _table_csv(["a"] + _node_names(scale_grid.base.d), _scale_rows(scale_grid), values)
+    return _table_csv(["a"] + _node_names(scale_grid.base.d), _scale_rows(scale_grid), values,
+                      "scale-space field")
 
 
 def matrix_to_csv(matrix) -> str:
     """Operator CSV: columns row, col, re, im."""
-    return _table_csv(["row", "col"], np.indices(matrix.shape).reshape(2, -1).T, matrix)
+    return _table_csv(["row", "col"], np.indices(matrix.shape).reshape(2, -1).T, matrix,
+                      "operator")
 
 
 def read_csv_input(selector: str) -> str:

@@ -26,7 +26,7 @@ class TransformPlan:
     """Precomputed transform factors for one grid.
 
     cart_factor[k, j] = exp(-i lam_k x_j) w_j   (per Cartesian axis)
-    radial_factor[k, j] = j_alpha(lam_k r_j) w_j
+    radial_factor[k, j] = j_alpha(lam_k r_j) w_j   (real, stored as float64)
     The full dense kernel-times-weight matrix is their Kronecker product;
     ``matrix()`` materializes it (small grids only).
     """
@@ -40,8 +40,7 @@ class TransformPlan:
         x = g.cart_axis
         self.cart_factor = np.exp(-1j * np.outer(x, x)) * g.cart_weights[None, :]
         r = g.radial_nodes
-        self.radial_factor = (normalized_bessel(g.alpha, np.outer(r, r))
-                              * g.radial_weights[None, :]).astype(np.complex128)
+        self.radial_factor = normalized_bessel(g.alpha, np.outer(r, r)) * g.radial_weights[None, :]
 
     def matrix(self) -> np.ndarray:
         """Dense (N, N) matrix of Lambda(x_j, lam_k) w_j entries (N = n^d m)."""

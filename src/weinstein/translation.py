@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.special import roots_legendre
 
 from .grids import BaseGrid, Field, _matmul, _same_grid
@@ -287,7 +288,7 @@ def cart_fft(grid: BaseGrid, values: np.ndarray, inverse: bool = False) -> np.nd
     """Discrete Fourier transform over the d Cartesian axes (first axis flat)."""
     n, d = grid.cart_points, grid.d
     v = values.reshape((n,) * d + values.shape[1:])
-    fft = np.fft.ifftn if inverse else np.fft.fftn
+    fft = sp_fft.ifftn if inverse else sp_fft.fftn
     return fft(v, axes=tuple(range(d))).reshape(values.shape)
 
 

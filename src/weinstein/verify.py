@@ -469,7 +469,7 @@ def wavelet_checks(st: Stack, rng, windows: tuple = (None, None)) -> list[CheckR
     cart = g.cart_coordinates()
     ok = (abs(la[jmax]) <= 1.5 * dla
           and np.linalg.norm(cart[cmax]) <= 2.1 * g.cart_step
-          and g.radial_nodes[rmax] <= np.partition(g.radial_nodes, 3)[3] + 1e-12)
+          and g.radial_nodes[rmax] <= g.radial_nodes[min(3, g.radial_points - 1)] + 1e-12)
     emit("wav.self_localization", float(jmax), float(np.argmin(np.abs(la))), passed=ok)
     return rows
 

@@ -19,11 +19,12 @@ unaffected; it only conditions the discrete realization of the family.
 
 Two independent evaluation pipelines are provided: ``cwt`` contracts the
 quadrature translation tensor against f and correlates the result with
-the window samples on the lattice (real-space route; the lattice sums run
-in the lattice spectrum, exact on the torus), while
-``cwt_convolution_form`` evaluates a^{alpha+1+d/2} (f_reflected *
-conj(phi_a)) through Weinstein transform products (spectral route).
-Their agreement is a structural check on the whole translation/dilation
+the window on the lattice (real-space route; the lattice sums run in the
+window's lattice spectrum, exact on the torus, which is derived from its
+frequency data), while ``cwt_convolution_form`` evaluates
+a^{alpha+1+d/2} (f_reflected * conj(phi_a)) through Weinstein transform
+products of the window samples in space (spectral route).  Their
+agreement is a structural check on the whole translation/dilation
 convention chain.
 """
 
@@ -37,7 +38,7 @@ import numpy as np
 from .grids import (BaseGrid, Field, ScaleField, ScaleGrid, _matmul, _matmul_real_right,
                     inner_product, reflect, scale_inner_product)
 from .translation import (TranslationKernel, _cart_eval_matrix, cart_fft,
-                          lattice_shift, radial_interp_matrix, translate)
+                          radial_interp_matrix, translate)
 from .transform import TransformPlan, forward, inverse
 
 #: taper is flat below FLAT * extent and zero above CUT * extent, per axis
@@ -48,6 +49,13 @@ TAPER_CUT = 0.80
 XI_RADII = (0.35, 1.6)
 XI_COUNT = 16
 XI_DIRECTIONS = 8
+
+#: a lattice spectrum's (re, im) parts below this fraction of the window's
+#: largest are set to 0.  The frequency data's Gaussian tails underflow (to
+#: 2e-320 for the default pair), and the operator assembly's GEMMs slow down
+#: on the subnormal products of such parts (by a fifth for a complex
+#: operator at 32/32/20); at 1e-100 no report value moves
+SPECTRUM_FLOOR = 1e-100
 
 
 @dataclass
@@ -244,11 +252,13 @@ def _scale_integrals(plan, scale_grid, window_phi, window_psi) -> np.ndarray:
 class WaveletPair:
     """Two windows with cached admissibility data and per-scale window data.
 
-    Each window, named ``"phi"`` or ``"psi"``, has three per-scale arrays,
-    each computed at its first use and cached read-only, so every later use
-    of the pair reads them: its tapered frequency data (``freq_data``),
-    its samples in space (``space_data``) and the lattice spectrum of those
-    samples (``lattice_spectrum``), which ``cwt`` and ``invert_cwt`` read.
+    Each window, named ``"phi"`` or ``"psi"``, has per-scale arrays, each
+    computed at its first use and cached read-only, so every later use of
+    the pair reads them: its tapered frequency data (``freq_data``), the
+    lattice spectrum derived from them (``lattice_spectrum``), which
+    ``cwt``, ``invert_cwt`` and the operator assembly read, and its samples
+    in space (``space_data``), which only the independent pipeline
+    ``cwt_convolution_form`` reads.
     """
 
     plan: TransformPlan
@@ -297,7 +307,10 @@ class WaveletPair:
         return self._data[which]
 
     def space_data(self, which: str) -> np.ndarray:
-        """(J, n^d, m) per-scale window fields phi_{a_j} on the grid (real space)."""
+        """(J, n^d, m) per-scale window fields phi_{a_j} on the grid (real space).
+
+        Only ``cwt_convolution_form``, the independent pipeline, reads them.
+        """
         key = which + "_space"
         if key not in self._data:
             fd = self.freq_data(which)
@@ -310,14 +323,31 @@ class WaveletPair:
         return self._data[key]
 
     def lattice_spectrum(self, which: str) -> np.ndarray:
-        """(n^d, m, J) DFT of ``space_data(which)`` over the Cartesian lattice.
+        """(n^d, m, J) lattice DFT of the window samples phi_{a_j} moved to the lattice origin.
 
-        Index [k, r, j]: lattice frequency k, radial node r, scale j.
+        Index [k, r, j]: lattice frequency k, radial node r, scale j.  The
+        grid is self-dual, so the Cartesian transform factor is sqrt(n)^-1
+        times the lattice DFT in bin order (``cart_bin_index``), and the
+        spectrum is read off the frequency data fd with no FFT:
+
+            C[bin(i), r, j] = n^{d/2} (fd_j B^T)[i, r],  B = plan.radial_factor,
+
+        one real GEMM per scale.  The samples sit at the lattice origin
+        (node x = 0 at index 0), so no phase enters at odd or even n.  Parts
+        below ``SPECTRUM_FLOOR`` of the largest are set to 0.
         """
         key = which + "_spectrum"
         if key not in self._data:
+            fd = self.freq_data(which)
             g = self.plan.grid
-            out = np.ascontiguousarray(cart_fft(g, self.space_data(which).transpose(1, 2, 0)))
+            Bt = g.cart_points ** (g.d / 2) * self.plan.radial_factor.T
+            bins = g.cart_bin_index()
+            out = np.empty(g.shape + (self.scale_grid.scale_points,), dtype=np.complex128)
+            for j in range(self.scale_grid.scale_points):
+                out[bins, :, j] = _matmul_real_right(fd[j], Bt)
+            v = out.view(np.float64)
+            tiny = SPECTRUM_FLOOR * max(v.max(), -v.min())
+            v[(v < tiny) & (v > -tiny)] = 0.0
             out.flags.writeable = False
             self._data[key] = out
         return self._data[key]
@@ -345,10 +375,11 @@ def cwt(pair: WaveletPair, f: Field, which: str = "phi") -> ScaleField:
     contraction, and the route runs in the lattice spectrum: the DFT of
     the weighted (n^d, m) field f, the tensor contracted per frequency in
     one real GEMM, one batched product B^ conj(phi_a^) over the scale axis
-    against the pair's cached ``lattice_spectrum``, one inverse FFT, and a
-    shift through the node -x_0 (a correlation's lattice origin).  This is
-    the same discrete family realization the localization assembly uses,
-    so operator weak forms match this transform exactly.
+    against the pair's cached ``lattice_spectrum`` and one inverse FFT.
+    The spectrum is that of the samples at the lattice origin, so the
+    correlation comes out on the grid's nodes with no shift.  This is the
+    same discrete family realization the localization assembly uses, so
+    operator weak forms match this transform exactly.
     """
     g = pair.plan.grid
     if f.grid is not g:
@@ -363,7 +394,7 @@ def cwt(pair: WaveletPair, f: Field, which: str = "phi") -> ScaleField:
     # spec[k, x_r, j] = sum_r B^[k, x_r, r] conj(phi_j^[k, r])
     spec = np.matmul(Bc.reshape(nc, m, m), pair.lattice_spectrum(which))
     np.conjugate(spec, out=spec)
-    corr = lattice_shift(g, cart_fft(g, spec, inverse=True), g.cart_reflect_index()[0])
+    corr = cart_fft(g, spec, inverse=True)
     sg = pair.scale_grid
     out = sg.scales[:, None, None] ** pair.gamma * corr.transpose(2, 0, 1)
     return ScaleField(sg, out)
@@ -404,7 +435,8 @@ def invert_cwt(pair: WaveletPair, W: ScaleField) -> Field:
     product over the scale axis against the pair's cached
     ``lattice_spectrum``), the translation tensor is contracted there per
     frequency in one real GEMM, and one inverse FFT of the (n^d, m) result
-    and one shift through node 0 finish it.  Refuses near-degenerate pairs.
+    finishes it; the spectrum is that of the samples at the lattice origin,
+    so no shift follows.  Refuses near-degenerate pairs.
     """
     if W.grid is not pair.scale_grid:
         raise ValueError("scale field not on the pair's scale grid")
@@ -423,5 +455,4 @@ def invert_cwt(pair: WaveletPair, W: ScaleField) -> Field:
     # out^[k, y_r] = sum_{x_r, r} S^[k, x_r, r] K[x_r, y_r, r]; K mirrors its
     # first two indices bit for bit, so its (m, m^2) reshape is K[y_r, (x_r, r)]
     out = _matmul_real_right(S.reshape(nc, m * m), pair.kernel.tensor.reshape(m, m * m).T)
-    out = lattice_shift(g, cart_fft(g, out, inverse=True), 0)
-    return Field(g, out / pair.C_phi_psi)
+    return Field(g, cart_fft(g, out, inverse=True) / pair.C_phi_psi)

@@ -401,6 +401,46 @@ def test_localize_bound_gate_reads_bound_slack(tmp_path, monkeypatch, slack, exp
     assert "fake,2,1.03" in (out / "bounds.csv").read_text()
 
 
+def test_verify_runs_on_three_radial_nodes(tmp_path, capsys):
+    # wav.self_localization compares with the fourth radial node, or the
+    # last one when there are fewer: the smallest grids report, not crash
+    tiny = [f"{k}=3" for k in ("n", "m", "op_n", "op_m")] + ["scales=4", "op_scales=2"]
+    code = main(["verify", "--set", f"out_dir={tmp_path / 'out'}",
+                 *[a for s in tiny for a in ("--set", s)]])
+    assert code == 1
+    assert "checks passed" in capsys.readouterr().out
+    assert (tmp_path / "out" / "report.csv").exists()
+
+
+def test_cwt_refuses_to_write_non_finite_values(tmp_path, capsys):
+    # at alpha = 200 the translation constant is inf/inf: the transform is
+    # NaN, and the command exits 3 naming the file kind, with no cwt.csv
+    out = tmp_path / "out"
+    code = main(["cwt", "--set", "alpha=200", "--set", "n=8", "--set", "m=8",
+                 "--set", "scales=4", "--set", f"out_dir={out}"])
+    assert code == 3
+    assert "scale-space field CSV not written" in capsys.readouterr().err
+    assert not (out / "fields" / "cwt.csv").exists()
+
+
+def test_csv_writers_refuse_non_finite_values():
+    # the field, scale-field and matrix writers name their kind; the report
+    # writer keeps NaN, which a partial convergence row carries as lhs
+    from types import SimpleNamespace
+    import numpy as np
+    from weinstein.report import (field_to_csv, make_row, matrix_to_csv, rows_to_csv,
+                                  scale_field_to_csv)
+    grid = SimpleNamespace(d=1, nodes=lambda: np.array([[-1.0, 0.1], [0.5, 2.0]]))
+    scale_grid = SimpleNamespace(base=grid, scales=np.array([0.5, 4.0]), scale_points=2)
+    with pytest.raises(ValueError, match="^field CSV"):
+        field_to_csv(grid, np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="^scale-space field CSV"):
+        scale_field_to_csv(scale_grid, np.array([[1, 2j], [3, complex(0, np.inf)]]))
+    with pytest.raises(ValueError, match="^operator CSV"):
+        matrix_to_csv(np.array([[1.0, -np.inf]]))
+    assert ",nan," in rows_to_csv([make_row("c", "s", np.nan, 1.0, 0.1, passed=False)])
+
+
 def test_csv_writers_exact_bytes():
     # one table writer: the coordinate columns, then re and im, every number
     # at 17 significant digits (integer-valued ones print as integers)

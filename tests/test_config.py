@@ -61,6 +61,13 @@ def test_radial_extent_must_be_finite_and_non_negative(value):
         parse_config(f"radial_extent = {value}")
 
 
+def test_negative_seed_rejected():
+    # numpy's generators take only non-negative seeds
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        parse_config("seed = -1")
+    assert parse_config("seed = 0").seed == 0
+
+
 def test_roundtrip_serialize_parse():
     cfg = parse_config("alpha = 1.5\nn = 32\nseed = 7\nout_dir = results")
     again = parse_config(serialize(cfg))

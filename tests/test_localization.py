@@ -633,7 +633,7 @@ def test_window_off_symmetry_in_one_entry_takes_complex_route():
     sym = loc.symbol_bump(pair.scale_grid)
     real = loc.assemble(pair, sym)
     # the cached window data are read-only; the edited copy is seeded into a
-    # fresh pair before its first use, so its space data are built from it
+    # fresh pair before its first use, so its lattice spectrum is built from it
     fd = pair.freq_data("psi").copy()
     for data in (pair.freq_data("psi"), pair.space_data("psi")):
         with pytest.raises(ValueError):

@@ -32,6 +32,17 @@ def test_cart_factor_is_the_lattice_dft(n):
     assert np.max(np.abs(plan.cart_factor - w * dft[b][:, b])) <= 1e-12 * w
 
 
+@pytest.mark.parametrize("d,n,m", [(1, 20, 20), (1, 64, 64), (2, 24, 20)])
+def test_real_radial_factor_gives_the_complex_factor_product(d, n, m):
+    # the radial factor is real data stored as float64; the transform equals
+    # the product with its complex128 copy bit for bit
+    g, plan = stack(d=d, n=n, m=m)
+    assert plan.radial_factor.dtype == np.float64
+    f = random_field(g, np.random.default_rng(5))
+    ref = g.apply_axes(f.values, [plan.cart_factor] * d, plan.radial_factor.astype(complex))
+    assert np.array_equal(forward(plan, f).values, ref)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
 def test_gaussian_fixed_point(alpha):
     g, plan = stack(alpha)

@@ -10,8 +10,8 @@ from weinstein.probes import gaussian, random_even_field
 from weinstein.transform import build_plan, forward
 from weinstein.translation import (ThetaRule, TranslationKernel, cart_fft, convolve,
                                    convolve_spectral, lattice_shift, translate)
-from weinstein.wavelets import (Window, admissibility_constant, build_pair, cwt,
-                                cwt_convolution_form, check_two_wavelet_parseval,
+from weinstein.wavelets import (SPECTRUM_FLOOR, Window, admissibility_constant, build_pair,
+                                cwt, cwt_convolution_form, check_two_wavelet_parseval,
                                 default_windows, dilate, eval_freq_data, family_member,
                                 invert_cwt, two_wavelet_constant, window_from_profile)
 
@@ -297,6 +297,25 @@ def test_lattice_spectrum_cache_one_read_only_entry_per_window():
         assert spec is pair._data[which + "_spectrum"]
         assert not spec.flags.writeable
         assert spec.shape == (g.n_cart, g.radial_points, pair.scale_grid.scale_points)
+
+
+@pytest.mark.parametrize("d,n,m", [(1, 16, 12), (1, 17, 12), (2, 7, 6), (2, 8, 6)])
+def test_lattice_spectrum_is_the_spectrum_of_the_samples_at_the_origin(d, n, m):
+    # read off the frequency data, the spectrum equals the lattice DFT of the
+    # samples in space moved to the lattice origin, with no phase at odd or
+    # even n, for the default pair and a modulated window with no profile;
+    # parts below the floor are exactly 0 (the unfloored data hold some)
+    pair = tiny_pair(0.5, d, n, m, 6)
+    g = pair.plan.grid
+    x1 = g.nodes()[:, 0].reshape(g.shape)
+    mod = Window(field=Field(g, pair.phi.field.values * np.exp(0.7j * x1)))
+    for p in (pair, build_pair(pair.plan, pair.scale_grid, pair.kernel, mod, pair.psi)):
+        for which in ("phi", "psi"):
+            spec = p.lattice_spectrum(which)
+            ref = cart_fft(g, lattice_shift(g, p.space_data(which).transpose(1, 2, 0), 0))
+            assert np.max(np.abs(spec - ref)) <= 1e-14 * np.max(np.abs(ref))
+            parts = np.abs(spec.view(np.float64))
+            assert np.all(parts[parts > 0] >= SPECTRUM_FLOOR * parts.max())
 
 
 def test_cwt_after_invert_matches_fresh_pair():
