@@ -511,11 +511,25 @@ def measured_norm(L: LocalizationOperator, p: float,
         return float(L.singular_values[0])
     if probes is None:
         raise ValueError(f"the {p}-norm is estimated from probes; pass probe_matrix columns")
-    out = _matmul(L.matrix, w[:, None] * probes)
-    n_out = np.sum(w[:, None] * np.abs(out) ** p, axis=0) ** (1.0 / p)
-    n_in = np.sum(w[:, None] * np.abs(probes) ** p, axis=0) ** (1.0 / p)
-    ok = n_in > 1e-12
-    return float(np.max(n_out[ok] / n_in[ok]))
+    return _probe_norms(L, (p,), probes)[p]
+
+
+def _probe_norms(L: LocalizationOperator, ps, probes: np.ndarray) -> dict:
+    """{p: probe lower bound of the L^p operator norm} for each p in ``ps``.
+
+    ``measured_norm`` at each p, from one image L (w probes) and one |probes|
+    shared by every p.
+    """
+    w = L.grid.node_weights.reshape(-1)[:, None]
+    out = np.abs(_matmul(L.matrix, w * probes))
+    inp = np.abs(probes)
+    norms = {}
+    for p in ps:
+        n_out = np.sum(w * out ** p, axis=0) ** (1.0 / p)
+        n_in = np.sum(w * inp ** p, axis=0) ** (1.0 / p)
+        ok = n_in > 1e-12
+        norms[p] = float(np.max(n_out[ok] / n_in[ok]))
+    return norms
 
 
 def singular_value_profile(L: LocalizationOperator) -> np.ndarray:
@@ -527,11 +541,12 @@ def singular_value_profile(L: LocalizationOperator) -> np.ndarray:
 _LR_EXPONENTS = (1.0, 1.5, 2.0)
 
 
-def _window_norms(pair: WaveletPair) -> dict:
-    out = {}
-    for name, win in (("phi", pair.phi), ("psi", pair.psi)):
-        out[name] = {p: lp_norm(win.field, p) for p in (1, 2, np.inf)}
-    return out
+def _window_norm(pair: WaveletPair, which: str, p: float) -> float:
+    """L^p norm of the window ``which``, cached on the pair like its frequency data."""
+    norms = pair._data.setdefault("window_norms", {})
+    if (which, p) not in norms:
+        norms[which, p] = lp_norm((pair.phi if which == "phi" else pair.psi).field, p)
+    return norms[which, p]
 
 
 def theoretical_bound(pair: WaveletPair, symbol: SymbolField,
@@ -548,9 +563,8 @@ def theoretical_bound(pair: WaveletPair, symbol: SymbolField,
 
 
 def all_bounds(pair: WaveletPair, symbol: SymbolField, p: float) -> dict:
-    nw = _window_norms(pair)
-    phi1, phi2, phiI = nw["phi"][1], nw["phi"][2], nw["phi"][np.inf]
-    psi1, psi2, psiI = nw["psi"][1], nw["psi"][2], nw["psi"][np.inf]
+    phi1, phi2, phiI = (_window_norm(pair, "phi", r) for r in (1, 2, np.inf))
+    psi1, psi2, psiI = (_window_norm(pair, "psi", r) for r in (1, 2, np.inf))
     sig1 = scale_lp_norm(ScaleField(symbol.grid, symbol.values), 1)
     q = np.inf if p == 1 else (1.0 if p == np.inf else p / (p - 1.0))
     out = {}
@@ -563,9 +577,7 @@ def all_bounds(pair: WaveletPair, symbol: SymbolField, p: float) -> dict:
     iq = 0.0 if q == np.inf else 1.0 / q
     out["interp"] = phi1**iq * psi1**ip * phiI**ip * psiI**iq * sig1
     # Hoelder-duality bound, all p
-    nphi_q = lp_norm(pair.phi.field, q)
-    npsi_p = lp_norm(pair.psi.field, p)
-    out["holder"] = nphi_q * npsi_p * sig1
+    out["holder"] = _window_norm(pair, "phi", q) * _window_norm(pair, "psi", p) * sig1
     out["schur"] = max(phi1 * psiI, phiI * psi1) * sig1
     cc = np.sqrt(abs(pair.C_phi * pair.C_psi)) * phi2 * psi2
     for r in _LR_EXPONENTS:

@@ -29,7 +29,7 @@ from .translation import (ThetaRule, TranslationKernel, check_translate_fourier,
                           convolve_spectral, lattice_shift, translate)
 from .wavelets import (WaveletPair, Window, admissibility_constant, build_pair, cwt,
                        cwt_convolution_form, check_two_wavelet_parseval, dilate,
-                       eval_freq_data, family_member, invert_cwt, two_wavelet_constant,
+                       family_member, invert_cwt, scaled_freq_data, two_wavelet_constant,
                        window_from_profile)
 
 # every tolerance of the battery and of localize's bound report; no setting overrides one
@@ -442,8 +442,7 @@ def wavelet_checks(st: Stack, rng, windows: tuple = (None, None)) -> list[CheckR
             pred = a_ ** (g.measure_power * (e - 1.0)) * lp_norm(pair.phi.field, p)
             emit("wav.dilate_norm", lp_norm(da, p), pred, part=f"a{a_:g}.p{p}")
         Fd = forward(plan, da)
-        pts = g.nodes() * a_
-        pred_vals = eval_freq_data(pair.phi, plan, pts).reshape(g.shape)
+        pred_vals = scaled_freq_data(pair.phi, plan, [a_])[0]
         num = np.sqrt(np.sum(g.node_weights * np.abs(Fd.values - pred_vals) ** 2))
         den = np.sqrt(np.sum(g.node_weights * np.abs(pred_vals) ** 2))
         emit("wav.dilate_fourier", num / max(den, 1e-300), part=f"a{a_:g}")
@@ -573,8 +572,7 @@ def operator_bound_checks(pair: WaveletPair, pair_name: str, probes: np.ndarray,
             measured = loc.measured_norm(Ls, p)
             bound, btag, _ = loc.theoretical_bound(pair, s, p)
             emit("op.bound", measured, bound, part=f"{name}.p{p}", p=p, btag=btag)
-        for p in (1.25, 1.5, 3.0):
-            measured = loc.measured_norm(Ls, p, probes=probes)
+        for p, measured in loc._probe_norms(Ls, (1.25, 1.5, 3.0), probes).items():
             bound, btag, _ = loc.theoretical_bound(pair, s, p)
             emit("op.bound_lower", measured, bound, part=f"{name}.p{p:g}", p=p, btag=btag)
         if name in ("l1_bump", "separable"):

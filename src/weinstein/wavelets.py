@@ -16,6 +16,11 @@ that removes content the lattice cannot represent at extreme scales.  The
 taper is flat over the frequency range of every test function, so the
 admissibility constants and all identities at those frequencies are
 unaffected; it only conditions the discrete realization of the family.
+A window with a frequency profile is evaluated exactly.  A window given
+only by samples is interpolated from its grid transform: at the scaled
+nodes a * (x', x_r) as one separable product per scale
+(``scaled_freq_data``), at any other point set point by point
+(``eval_freq_data``).
 
 Two independent evaluation pipelines are provided: ``cwt`` contracts the
 quadrature translation tensor against f and correlates the result with
@@ -125,13 +130,15 @@ def default_windows(plan: TransformPlan) -> tuple[Window, Window]:
 def eval_freq_data(window: Window, plan: TransformPlan, pts: np.ndarray) -> np.ndarray:
     """F(window)(pts) for arbitrary points (..., d+1): profile if present, else interpolation.
 
-    Without a profile the window's grid transform is interpolated: Lagrange
-    rows (``_cart_eval_matrix``) on each Cartesian axis, barycentric rows on
-    the radial axis, each built once per distinct coordinate value and
-    gathered (scaled nodes hold only n or m of them).  The first Cartesian
-    axis is one real GEMM of the rows against the (re, im) pairs of the
-    transform (``grids._matmul``); later axes and the radial axis contract
-    per point.
+    The route for point sets that are not the scaled nodes: the
+    admissibility samples and ``localization.paracommutator_kernel``.  At
+    the scaled nodes ``scaled_freq_data`` gives the same values.  Without a
+    profile the window's grid transform is interpolated: Lagrange rows
+    (``_cart_eval_matrix``) on each Cartesian axis, barycentric rows on the
+    radial axis, each built once per distinct coordinate value and gathered.
+    The first Cartesian axis is one real GEMM of the rows against the
+    (re, im) pairs of the transform (``grids._matmul``); later axes and the
+    radial axis contract per point.
     """
     if window.freq_profile is not None:
         return np.asarray(window.freq_profile(pts), dtype=np.complex128)
@@ -155,12 +162,34 @@ def eval_freq_data(window: Window, plan: TransformPlan, pts: np.ndarray) -> np.n
     return vals.reshape(pts.shape[:-1])
 
 
+def scaled_freq_data(window: Window, plan: TransformPlan, scales) -> np.ndarray:
+    """(len(scales), n^d, m) untapered F(window)(a xi) at the scaled nodes a * nodes.
+
+    The route for every grid-scaled evaluation.  A profile is evaluated at
+    the scaled nodes.  A sampled window is transformed once; on the scaled
+    nodes the interpolant is separable, so each scale is one product
+    through ``BaseGrid.apply_axes`` of the same Lagrange rows (on every
+    Cartesian axis) and barycentric rows (radial) that ``eval_freq_data``
+    builds, each contracted per axis instead of per point.
+    """
+    g = plan.grid
+    out = np.empty((len(scales),) + g.shape, dtype=np.complex128)
+    if window.freq_profile is not None:
+        nodes = g.nodes()
+        for j, a in enumerate(scales):
+            out[j] = window.freq_profile(nodes * a).reshape(g.shape)
+        return out
+    Fw = forward(plan, window.field).values
+    for j, a in enumerate(scales):
+        out[j] = g.apply_axes(Fw, [_cart_eval_matrix(g, a * g.cart_axis)] * g.d,
+                              radial_interp_matrix(g, a * g.radial_nodes))
+    return out
+
+
 def scaled_window_data(window: Window, plan: TransformPlan, a: float,
                        taper: np.ndarray) -> np.ndarray:
-    """(n^d, m) tapered frequency data of phi_a: F(phi)(a xi) * T(xi)."""
-    g = plan.grid
-    pts = g.nodes() * a
-    return (eval_freq_data(window, plan, pts).reshape(g.shape) * taper)
+    """(n^d, m) tapered frequency data of phi_a: F(phi)(a xi) * T(xi) (``scaled_freq_data``)."""
+    return scaled_freq_data(window, plan, [a])[0] * taper
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +322,16 @@ class WaveletPair:
         """(J, n^d, m) stacked tapered frequency data F(phi)(a_j xi) T(xi).
 
         ``which`` names the window, "phi" or "psi"; any other name raises
-        ValueError.
+        ValueError.  The scaled nodes come from ``scaled_freq_data``: a
+        sampled window is transformed once and interpolated as one separable
+        product per scale.
         """
         if which not in ("phi", "psi"):
             raise ValueError(f"window must be 'phi' or 'psi', got {which!r}")
         if which not in self._data:
             window = self.phi if which == "phi" else self.psi
-            out = np.empty(self.scale_grid.shape, dtype=np.complex128)
-            for j, a in enumerate(self.scale_grid.scales):
-                out[j] = scaled_window_data(window, self.plan, float(a), self.taper)
+            out = scaled_freq_data(window, self.plan, self.scale_grid.scales)
+            out *= self.taper
             out.flags.writeable = False
             self._data[which] = out
         return self._data[which]

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from weinstein import localization as loc
-from weinstein.grids import (Field, build_base_grid, build_scale_grid, inner_product,
-                             lp_norm, scale_lp_norm, ScaleField)
+from weinstein.grids import (Field, _matmul, build_base_grid, build_scale_grid,
+                             inner_product, lp_norm, scale_lp_norm, ScaleField)
 from weinstein.probes import gaussian, random_even_field, random_field
 from weinstein.transform import build_plan, inverse
 from weinstein.translation import ThetaRule, TranslationKernel, translate
@@ -292,6 +292,49 @@ def test_probe_matrix_columns_are_successive_random_fields(d, n, m):
         ref = ref * (c[ax, 0] + 1.0 + c[ax, 1] * v + c[ax, 2] * v**2) * np.exp(
             1j * k[ax] * v - (v - b[ax]) ** 2 / (2 * sig**2))
     assert np.max(np.abs(P[:, 0] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_probe_norms_share_one_image_and_match_measured_norm(st, monkeypatch):
+    # one L (w probes) and one |probes| serve every p, bit for bit as
+    # measured_norm computes them one p at a time
+    g, plan, kern, sg, pair = st
+    probes = loc.probe_matrix(g, samples=20, seed=5)
+    L = loc.assemble(pair, loc.symbol_bump(sg))
+    ps = (1.25, 1.5, 3.0)
+    ref = {p: loc.measured_norm(L, p, probes=probes) for p in ps}
+    products = []
+
+    def counting_matmul(M, X):
+        products.append(M)
+        return _matmul(M, X)
+
+    monkeypatch.setattr(loc, "_matmul", counting_matmul)
+    assert loc._probe_norms(L, ps, probes) == ref
+    assert len(products) == 1
+
+
+def test_window_norms_computed_once_per_pair(st, monkeypatch):
+    g, plan, kern, sg, pair = st
+    pair = build_pair(plan, sg, kern, pair.phi, pair.psi)
+    syms = [loc.symbol_bump(sg), loc.symbol_separable(sg)]
+    ps = (1, 2, np.inf, 1.25, 1.5, 3.0)
+    ref = [loc.theoretical_bound(pair, s, p) for s in syms for p in ps]
+    calls = []
+
+    def counting_lp_norm(f, p):
+        calls.append(p)
+        return lp_norm(f, p)
+
+    monkeypatch.setattr(loc, "lp_norm", counting_lp_norm)
+    assert [loc.theoretical_bound(pair, s, p) for s in syms for p in ps] == ref
+    assert calls == []
+    fresh = build_pair(plan, sg, kern, pair.phi, pair.psi)
+    for s in syms:
+        for p in ps:
+            loc.theoretical_bound(fresh, s, p)
+    # phi at 1, 2, inf and the conjugate exponents 5, 3, 1.5 of the Hoelder
+    # bound; psi at 1, 2, inf, 1.25, 1.5, 3
+    assert len(calls) == 12
 
 
 def test_theoretical_bound_structure(st):

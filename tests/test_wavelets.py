@@ -7,13 +7,14 @@ from scipy.integrate import quad
 from weinstein.grids import (Field, build_base_grid, build_scale_grid, inner_product,
                              lp_norm, scale_inner_product, scale_lp_norm, ScaleField)
 from weinstein.probes import gaussian, random_even_field
-from weinstein.transform import build_plan, forward
+from weinstein.transform import build_plan, forward, inverse
 from weinstein.translation import (ThetaRule, TranslationKernel, cart_fft, convolve,
                                    convolve_spectral, lattice_shift, translate)
 from weinstein.wavelets import (SPECTRUM_FLOOR, Window, admissibility_constant, build_pair,
                                 cwt, cwt_convolution_form, check_two_wavelet_parseval,
-                                default_windows, dilate, eval_freq_data, family_member,
-                                invert_cwt, two_wavelet_constant, window_from_profile)
+                                band_taper, default_windows, dilate, eval_freq_data,
+                                family_member, invert_cwt, scaled_freq_data,
+                                two_wavelet_constant, window_from_profile)
 
 
 @pytest.fixture(scope="module")
@@ -531,3 +532,82 @@ def test_convolution_form_matches_per_scale_spectral_convolution(st2):
     ref = np.stack([a**pair.gamma * convolve_spectral(plan, reflect(f), Field(g, np.conj(sdata[j]))).values
                     for j, a in enumerate(sg.scales)])
     assert np.array_equal(cwt_convolution_form(pair, f, "phi").values, ref)
+
+
+def _modulated_sampled_pair(alpha, d, n, m, scales):
+    # the default pair with phi modulated by e^{0.7 i x_1} and no profile
+    pair = tiny_pair(alpha, d, n, m, scales)
+    g = pair.plan.grid
+    x1 = g.nodes()[:, 0].reshape(g.shape)
+    mod = Window(field=Field(g, pair.phi.field.values * np.exp(0.7j * x1)), name="mod")
+    return build_pair(pair.plan, pair.scale_grid, pair.kernel, mod, pair.psi)
+
+
+@pytest.mark.parametrize("alpha, d, n, m", [(0.5, 1, 8, 8), (0.0, 1, 11, 12), (1.5, 1, 11, 12),
+                                            (0.5, 1, 32, 20), (0.5, 2, 7, 6), (0.5, 2, 10, 8)])
+def test_scaled_freq_data_matches_pointwise_route(alpha, d, n, m):
+    # at the scaled nodes the separable product and the per-point route use
+    # the same rows and differ only in summation order; n = 8 is shorter than
+    # the 10-point stencil, and at a = 1/16 and 16 rows beyond the box are 0
+    pair = _modulated_sampled_pair(alpha, d, n, m, 6)
+    g, plan = pair.plan.grid, pair.plan
+    scales = (1 / 16, 1.0, 16.0)
+    got = scaled_freq_data(pair.phi, plan, scales)
+    assert got.shape == (len(scales),) + g.shape
+    for j, a in enumerate(scales):
+        ref = eval_freq_data(pair.phi, plan, g.nodes() * a).reshape(g.shape)
+        assert np.max(np.abs(got[j] - ref)) <= 2e-15 * np.max(np.abs(ref))
+    for j, a in enumerate(pair.scale_grid.scales):
+        ref = eval_freq_data(pair.phi, plan, g.nodes() * a).reshape(g.shape) * pair.taper
+        fd = pair.freq_data("phi")[j]
+        assert np.max(np.abs(fd - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+def test_family_member_of_sampled_window_is_inverse_of_its_freq_data():
+    pair = _modulated_sampled_pair(0.5, 1, 12, 10, 8)
+    g, plan, sg = pair.plan.grid, pair.plan, pair.scale_grid
+    x = np.concatenate([g.cart_coordinates()[3], [g.radial_nodes[2]]])
+    for j in (0, 4, 7):
+        a = float(sg.scales[j])
+        ref = a**g.gamma * translate(pair.kernel, x,
+                                     inverse(plan, Field(g, pair.freq_data("phi")[j])))
+        assert np.array_equal(family_member(pair.kernel, plan, pair.phi, a, x).values,
+                              ref.values)
+
+
+def test_profile_freq_data_is_the_tapered_profile_bit_for_bit():
+    pair = tiny_pair(0.5, 2, 7, 6, 6)
+    g = pair.plan.grid
+    for which, w in (("phi", pair.phi), ("psi", pair.psi)):
+        for j, a in enumerate(pair.scale_grid.scales):
+            ref = np.asarray(w.freq_profile(g.nodes() * float(a)),
+                             dtype=np.complex128).reshape(g.shape) * band_taper(g)
+            assert np.array_equal(pair.freq_data(which)[j], ref)
+
+
+def test_sampled_freq_data_transforms_the_samples_once(monkeypatch):
+    import weinstein.wavelets as wav
+    pair = _modulated_sampled_pair(0.5, 1, 12, 10, 8)
+    calls = []
+
+    def counting_forward(plan, f):
+        calls.append(f)
+        return forward(plan, f)
+
+    monkeypatch.setattr(wav, "forward", counting_forward)
+    pair.freq_data("phi")
+    assert len(calls) == 1 and calls[0] is pair.phi.field
+
+
+def test_sampled_freq_data_peak_stays_near_the_output():
+    # no (n^d m, n, m) gathered temporary: at d=2 16/16/8 that would be 16 MB
+    # per scale against a 0.5 MB result
+    import tracemalloc
+    pair = _modulated_sampled_pair(0.5, 2, 16, 16, 8)
+    tracemalloc.start()
+    try:
+        out = pair.freq_data("phi")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.nbytes, peak / out.nbytes
