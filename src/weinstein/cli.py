@@ -187,7 +187,8 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - map any runtime failure to exit 3
-        print(f"runtime error: {e}", file=sys.stderr)
+        # an exception with an empty message (MemoryError()) is named by its type
+        print(f"runtime error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 3
     return 2
 

@@ -259,6 +259,11 @@ def _matmul_real_right(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
+def is_real(values: np.ndarray) -> bool:
+    """True when no value has a nonzero imaginary part: an exact test, with no tolerance."""
+    return not np.any(values.imag)
+
+
 def _same_grid(f, g):
     if f.grid is not g.grid:
         raise ValueError("fields live on different grids")

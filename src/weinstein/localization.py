@@ -79,7 +79,7 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sp_fft
 
-from .grids import Field, ScaleField, ScaleGrid, _matmul, lp_norm, scale_lp_norm
+from .grids import Field, ScaleField, ScaleGrid, _matmul, is_real, lp_norm, scale_lp_norm
 from .probes import random_fields
 from .transform import forward, inverse
 from .translation import cart_fft, lattice_shift
@@ -235,12 +235,14 @@ def _structures(pair: WaveletPair, symbol: SymbolField) -> tuple[str, ...]:
       v o P = v and fd o P = fd.  The transform and the translation commute
       with P, so then every term of R does;
     * "x-independent": the symbol values are constant along x_c.
+
+    The windows' tests are made once per pair (``WaveletPair.structures``).
     """
     r = pair.plan.grid.cart_reflect_index()
     v = symbol.values
-    windows = [(fd, fd[:, r]) for fd in (pair.freq_data("phi"), pair.freq_data("psi"))]
-    real = not np.any(v.imag) and all(np.array_equal(fr, fd.conj()) for fd, fr in windows)
-    even = np.array_equal(v[:, r], v) and all(np.array_equal(fr, fd) for fd, fr in windows)
+    windows = [pair.structures(which) for which in ("phi", "psi")]
+    real = is_real(v) and all("real" in w for w in windows)
+    even = np.array_equal(v[:, r], v) and all("reflection-even" in w for w in windows)
     taken = (real, even, bool(np.all(v == v[:, :1])))
     return tuple(name for name, on in zip(("real", "reflection-even", "x-independent"), taken)
                  if on)

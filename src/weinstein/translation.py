@@ -41,7 +41,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.special import roots_legendre
 
-from .grids import BaseGrid, Field, _matmul, _same_grid
+from .grids import BaseGrid, Field, _matmul_real_right, _same_grid, is_real
 from .special import check_alpha, translation_constant
 from .transform import TransformPlan, forward, inverse
 
@@ -284,12 +284,37 @@ def lattice_shift(grid: BaseGrid, values: np.ndarray, k: int) -> np.ndarray:
     return np.roll(v, steps, axis=tuple(range(d))).reshape(values.shape)
 
 
-def cart_fft(grid: BaseGrid, values: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Discrete Fourier transform over the d Cartesian axes (first axis flat)."""
+def cart_fft(grid: BaseGrid, values: np.ndarray, inverse: bool = False,
+             half: bool = False) -> np.ndarray:
+    """Discrete Fourier transform over the d Cartesian axes (first axis flat).
+
+    With ``half`` the transform is real.  Forward, real (n^d, ...) values
+    go to their n^{d-1}(n//2+1) half bins: the last Cartesian axis keeps
+    bins 0 .. n//2, flat in C order (``cart_half_bins``); the other bins
+    are the conjugates of their mirrors.  Inverse, half-bin data go back
+    to the real (n^d, ...) values whose spectrum they are.
+    """
     n, d = grid.cart_points, grid.d
-    v = values.reshape((n,) * d + values.shape[1:])
-    fft = sp_fft.ifftn if inverse else sp_fft.fftn
-    return fft(v, axes=tuple(range(d))).reshape(values.shape)
+    cart, axes = (n,) * d, tuple(range(d))
+    if not half:
+        fft = sp_fft.ifftn if inverse else sp_fft.fftn
+        return fft(values.reshape(cart + values.shape[1:]), axes=axes).reshape(values.shape)
+    if inverse:
+        v = values.reshape(cart[:-1] + (n // 2 + 1,) + values.shape[1:])
+        return sp_fft.irfftn(v, s=cart, axes=axes).reshape((n**d,) + values.shape[1:])
+    v = sp_fft.rfftn(values.reshape(cart + values.shape[1:]), axes=axes)
+    return v.reshape((-1,) + values.shape[1:])
+
+
+def cart_half_bins(grid: BaseGrid, spectrum: np.ndarray) -> np.ndarray:
+    """View of the half bins of a contiguous (n^d, ...) lattice spectrum.
+
+    Shape (n,)*(d-1) + (n//2+1,) + trailing axes: the bins that the half
+    route of ``cart_fft`` keeps, in its order, read in place with no copy.
+    """
+    n, d = grid.cart_points, grid.d
+    v = spectrum.reshape((n,) * d + spectrum.shape[1:])
+    return v[(slice(None),) * (d - 1) + (slice(0, n // 2 + 1),)]
 
 
 def convolve(kernel: TranslationKernel, f: Field, g: Field) -> Field:
@@ -304,20 +329,24 @@ def convolve(kernel: TranslationKernel, f: Field, g: Field) -> Field:
         spec[k, x_r] = sum_{y_r, r} (w g)^[k, y_r] f^[k, r] K[y_r, x_r, r],
 
     in one real GEMM, and one inverse FFT and a shift through node 0 move
-    the result to the lattice origin.
+    the result to the lattice origin.  When both fields are real
+    (``is_real``) the transforms are real (``cart_fft`` with ``half``), the
+    contraction runs on the half bins only and the result is exactly real.
     """
     _same_grid(f, g)
     if f.grid is not kernel.grid:
         raise ValueError("field not on the kernel's grid")
     gr = f.grid
-    nc, m = gr.shape
-    G = cart_fft(gr, gr.node_weights * g.values)
-    F = cart_fft(gr, f.values)
-    # [(y_r, r), k] outer products; K mirrors its first two indices bit for
+    m = gr.radial_points
+    half = is_real(f.values) and is_real(g.values)
+    fv, gv = (f.values.real, g.values.real) if half else (f.values, g.values)
+    G = cart_fft(gr, gr.node_weights * gv, half=half)
+    F = cart_fft(gr, fv, half=half)
+    # [k, (y_r, r)] outer products; K mirrors its first two indices bit for
     # bit, so its (m, m^2) reshape is K[x_r, (y_r, r)]
-    GF = (G.T[:, None, :] * F.T[None, :, :]).reshape(m * m, nc)
-    spec = _matmul(kernel.tensor.reshape(m, m * m), GF).T
-    return Field(gr, lattice_shift(gr, cart_fft(gr, spec, inverse=True), 0))
+    GF = (G[:, :, None] * F[:, None, :]).reshape(len(G), m * m)
+    spec = _matmul_real_right(GF, kernel.tensor.reshape(m, m * m).T)
+    return Field(gr, lattice_shift(gr, cart_fft(gr, spec, inverse=True, half=half), 0))
 
 
 def convolve_spectral(plan: TransformPlan, f: Field, g: Field) -> Field:

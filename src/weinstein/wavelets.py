@@ -28,9 +28,18 @@ the window on the lattice (real-space route; the lattice sums run in the
 window's lattice spectrum, exact on the torus, which is derived from its
 frequency data), while ``cwt_convolution_form`` evaluates
 a^{alpha+1+d/2} (f_reflected * conj(phi_a)) through Weinstein transform
-products of the window samples in space (spectral route).  Their
+products of the window samples in space (spectral route), whose
+transforms F(conj(phi_a)) the pair computes once per window.  Their
 agreement is a structural check on the whole translation/dilation
 convention chain.
+
+Real data take real arithmetic.  A window is real when its frequency data
+are conjugate-symmetric under the lattice reflection, which the pair
+decides once, exactly (``WaveletPair.structures``); a field is real when
+no value has a nonzero imaginary part (``grids.is_real``).  ``cwt`` of a
+real f against a real window, and ``invert_cwt`` of a real W with a real
+psi, run real FFTs and contract on the n^{d-1}(n//2+1) half bins only;
+complex data keep the full-spectrum route.
 """
 
 from __future__ import annotations
@@ -41,8 +50,8 @@ from typing import Callable
 import numpy as np
 
 from .grids import (BaseGrid, Field, ScaleField, ScaleGrid, _matmul, _matmul_real_right,
-                    inner_product, reflect, scale_inner_product)
-from .translation import (TranslationKernel, _cart_eval_matrix, cart_fft,
+                    inner_product, is_real, reflect, scale_inner_product)
+from .translation import (TranslationKernel, _cart_eval_matrix, cart_fft, cart_half_bins,
                           radial_interp_matrix, translate)
 from .transform import TransformPlan, forward, inverse
 
@@ -285,9 +294,14 @@ class WaveletPair:
     computed at its first use and cached read-only, so every later use of
     the pair reads them: its tapered frequency data (``freq_data``), the
     lattice spectrum derived from them (``lattice_spectrum``), which
-    ``cwt``, ``invert_cwt`` and the operator assembly read, and its samples
-    in space (``space_data``), which only the independent pipeline
-    ``cwt_convolution_form`` reads.
+    ``cwt``, ``invert_cwt`` and the operator assembly read, and the
+    transforms of its conjugated samples in space
+    (``conj_window_transform``), which only the independent pipeline
+    ``cwt_convolution_form`` reads.  Its exact symmetries
+    (``structures``) are decided once, from the frequency data, and pick
+    the real routes of ``cwt``, ``invert_cwt`` and the assembly.  The
+    samples in space themselves (``space_data``) are computed on demand
+    and not kept.
     """
 
     plan: TransformPlan
@@ -336,18 +350,55 @@ class WaveletPair:
             self._data[which] = out
         return self._data[which]
 
-    def space_data(self, which: str) -> np.ndarray:
-        """(J, n^d, m) per-scale window fields phi_{a_j} on the grid (real space).
+    def structures(self, which: str) -> tuple[str, ...]:
+        """The exact symmetries of a window's frequency data fd, decided once and cached.
 
-        Only ``cwt_convolution_form``, the independent pipeline, reads them.
+        With P the lattice reflection x_c -> -x_c: "real" when
+        fd o P = conj(fd), i.e. the window's samples in space are real, and
+        "reflection-even" when fd o P = fd.  Both tests are bit for bit,
+        with no tolerance.
         """
-        key = which + "_space"
+        key = which + "_structures"
         if key not in self._data:
             fd = self.freq_data(which)
+            fr = fd[:, self.plan.grid.cart_reflect_index()]
+            taken = (np.array_equal(fr, fd.conj()), np.array_equal(fr, fd))
+            self._data[key] = tuple(name for name, on in zip(("real", "reflection-even"), taken)
+                                    if on)
+        return self._data[key]
+
+    def _space_scales(self, which: str):
+        """The window fields phi_{a_j} = inverse(fd_j) on the grid, one scale at a time."""
+        g = self.plan.grid
+        for fd_j in self.freq_data(which):
+            yield inverse(self.plan, Field(g, fd_j)).values
+
+    def space_data(self, which: str) -> np.ndarray:
+        """(J, n^d, m) per-scale window fields phi_{a_j} on the grid (real space), read-only.
+
+        Computed on each call and not kept: no route reads them, and
+        ``cwt_convolution_form`` reads their transforms
+        (``conj_window_transform``).
+        """
+        out = np.empty((self.scale_grid.scale_points,) + self.plan.grid.shape,
+                       dtype=np.complex128)
+        for j, v in enumerate(self._space_scales(which)):
+            out[j] = v
+        out.flags.writeable = False
+        return out
+
+    def conj_window_transform(self, which: str) -> np.ndarray:
+        """(J, n^d, m) transforms F(conj(phi_{a_j})) of the conjugated window samples.
+
+        Built scale by scale from the frequency data, through the samples
+        in space, and cached read-only; ``cwt_convolution_form`` reads it.
+        """
+        key = which + "_conj_transform"
+        if key not in self._data:
             g = self.plan.grid
-            out = np.empty_like(fd)
-            for j in range(self.scale_grid.scale_points):
-                out[j] = inverse(self.plan, Field(g, fd[j])).values
+            out = np.empty((self.scale_grid.scale_points,) + g.shape, dtype=np.complex128)
+            for j, v in enumerate(self._space_scales(which)):
+                out[j] = forward(self.plan, Field(g, np.conj(v))).values
             out.flags.writeable = False
             self._data[key] = out
         return self._data[key]
@@ -396,6 +447,20 @@ def build_pair(plan: TransformPlan, scale_grid: ScaleGrid, kernel: TranslationKe
 # wavelet transform: two pipelines
 # ---------------------------------------------------------------------------
 
+def _route(pair: WaveletPair, values: np.ndarray, which: str):
+    """(half, values, spectrum) for a quadrature route of ``values`` against window ``which``.
+
+    Real values and a real window (``WaveletPair.structures``) take the
+    half route: the real part of the values, for real FFTs, and the half
+    bins of the window's lattice spectrum (``cart_half_bins``, a view).
+    Else the values as they are and the full spectrum.
+    """
+    spec = pair.lattice_spectrum(which)
+    if is_real(values) and "real" in pair.structures(which):
+        return True, values.real, cart_half_bins(pair.plan.grid, spec)
+    return False, values, spec
+
+
 def cwt(pair: WaveletPair, f: Field, which: str = "phi") -> ScaleField:
     """W(f)(a, x) = <f, phi_{a,x}>: real-space quadrature route.
 
@@ -407,43 +472,49 @@ def cwt(pair: WaveletPair, f: Field, which: str = "phi") -> ScaleField:
     one real GEMM, one batched product B^ conj(phi_a^) over the scale axis
     against the pair's cached ``lattice_spectrum`` and one inverse FFT.
     The spectrum is that of the samples at the lattice origin, so the
-    correlation comes out on the grid's nodes with no shift.  This is the
-    same discrete family realization the localization assembly uses, so
+    correlation comes out on the grid's nodes with no shift.  When f and
+    the window are real, the FFTs are real and every product runs on the
+    half bins only; the result is then exactly real.  This is the same
+    discrete family realization the localization assembly uses, so
     operator weak forms match this transform exactly.
     """
     g = pair.plan.grid
     if f.grid is not g:
         raise ValueError("field not on the pair's grid")
-    nc, m = g.shape
+    m = g.radial_points
+    half, fv, S = _route(pair, f.values, which)
     # conj(B^)[k, x_r, r] = sum_{y_r} conj((w f)^)[k, y_r] K[x_r, y_r, r]; K
     # mirrors its first two indices bit for bit, so its (m, m^2) reshape is
     # K[y_r, (x_r, r)].  Conjugating f's spectrum, not the window's, lets one
     # cached spectrum per window serve both this route and invert_cwt.
-    Bc = _matmul_real_right(np.conj(cart_fft(g, g.node_weights * f.values)),
+    Bc = _matmul_real_right(np.conj(cart_fft(g, g.node_weights * fv, half=half)),
                             pair.kernel.tensor.reshape(m, m * m))
     # spec[k, x_r, j] = sum_r B^[k, x_r, r] conj(phi_j^[k, r])
-    spec = np.matmul(Bc.reshape(nc, m, m), pair.lattice_spectrum(which))
+    spec = np.matmul(Bc.reshape(S.shape[:-2] + (m, m)), S).reshape(len(Bc), m, -1)
     np.conjugate(spec, out=spec)
-    corr = cart_fft(g, spec, inverse=True)
+    corr = cart_fft(g, spec, inverse=True, half=half)
     sg = pair.scale_grid
     out = sg.scales[:, None, None] ** pair.gamma * corr.transpose(2, 0, 1)
     return ScaleField(sg, out)
 
 
 def cwt_convolution_form(pair: WaveletPair, f: Field, which: str = "phi") -> ScaleField:
-    """W(f)(a, .) = a^{alpha+1+d/2} (f_reflected * conj(phi_a)): spectral route."""
+    """W(f)(a, .) = a^{alpha+1+d/2} (f_reflected * conj(phi_a)): spectral route.
+
+    f_reflected * conj(phi_a) = F^{-1}(F(f_reflected) F(conj(phi_a))).  The
+    transform of f_reflected is shared by every scale, and the window's
+    F(conj(phi_a)) depend on the window only: they are read from the pair
+    (``conj_window_transform``), transformed once per window.
+    """
     g = pair.plan.grid
     if f.grid is not g:
         raise ValueError("field not on the pair's grid")
-    # f_reflected * conj(phi_a) = F^{-1}(F(f_reflected) F(conj(phi_a))), the
-    # transform of f_reflected shared by every scale
+    wa_hat = pair.conj_window_transform(which)
     fr_hat = forward(pair.plan, reflect(f)).values
-    sdata = pair.space_data(which)
     out = np.empty(pair.scale_grid.shape, dtype=np.complex128)
     gam = pair.gamma
     for j, a in enumerate(pair.scale_grid.scales):
-        wa_hat = forward(pair.plan, Field(g, np.conj(sdata[j]))).values
-        out[j] = a**gam * inverse(pair.plan, Field(g, fr_hat * wa_hat)).values
+        out[j] = a**gam * inverse(pair.plan, Field(g, fr_hat * wa_hat[j])).values
     return ScaleField(pair.scale_grid, out)
 
 
@@ -466,7 +537,11 @@ def invert_cwt(pair: WaveletPair, W: ScaleField) -> Field:
     ``lattice_spectrum``), the translation tensor is contracted there per
     frequency in one real GEMM, and one inverse FFT of the (n^d, m) result
     finishes it; the spectrum is that of the samples at the lattice origin,
-    so no shift follows.  Refuses near-degenerate pairs.
+    so no shift follows.  When W and psi are real, the FFTs are real and
+    the products run on the half bins only, so the synthesized field is
+    real before the division by C_{phi,psi}; the ``cwt`` of a real f with a
+    real window is exactly real and so takes this route.  Refuses
+    near-degenerate pairs.
     """
     if W.grid is not pair.scale_grid:
         raise ValueError("scale field not on the pair's scale grid")
@@ -476,13 +551,15 @@ def invert_cwt(pair: WaveletPair, W: ScaleField) -> Field:
                          "reconstruction refused")
     g = pair.plan.grid
     sg = pair.scale_grid
-    nc, m = g.shape
+    m = g.radial_points
+    half, Wv, S_psi = _route(pair, W.values, "psi")
     c = sg.scale_weights * sg.scales ** (pair.gamma - sg.measure_power)
-    cW = c[:, None, None] * g.node_weights * W.values
+    cW = c[:, None, None] * g.node_weights * Wv
     # S^[k, x_r, r] = sum_j c_j (w W_j)^[k, x_r] psi_j^[k, r]
-    S = np.matmul(cart_fft(g, cW.transpose(1, 2, 0)),
-                  pair.lattice_spectrum("psi").transpose(0, 2, 1))
+    cW_hat = cart_fft(g, cW.transpose(1, 2, 0), half=half)
+    S = np.matmul(cW_hat.reshape(S_psi.shape[:-2] + (m, -1)), np.swapaxes(S_psi, -1, -2))
     # out^[k, y_r] = sum_{x_r, r} S^[k, x_r, r] K[x_r, y_r, r]; K mirrors its
     # first two indices bit for bit, so its (m, m^2) reshape is K[y_r, (x_r, r)]
-    out = _matmul_real_right(S.reshape(nc, m * m), pair.kernel.tensor.reshape(m, m * m).T)
-    return Field(g, cart_fft(g, out, inverse=True) / pair.C_phi_psi)
+    out = _matmul_real_right(S.reshape(len(cW_hat), m * m),
+                             pair.kernel.tensor.reshape(m, m * m).T)
+    return Field(g, cart_fft(g, out, inverse=True, half=half) / pair.C_phi_psi)

@@ -423,6 +423,19 @@ def test_cwt_refuses_to_write_non_finite_values(tmp_path, capsys):
     assert not (out / "fields" / "cwt.csv").exists()
 
 
+def test_runtime_error_with_empty_message_names_its_type(tmp_path, capsys, monkeypatch):
+    # MemoryError() carries no message: the error line names the exception
+    # instead of ending empty, and the exit code stays 3
+    from weinstein import cli
+
+    def out_of_memory(cfg):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_cwt", out_of_memory)
+    assert main(["cwt", "--set", f"out_dir={tmp_path / 'out'}"]) == 3
+    assert capsys.readouterr().err == "runtime error: MemoryError\n"
+
+
 def test_csv_writers_refuse_non_finite_values():
     # the field, scale-field and matrix writers name their kind; the report
     # writer keeps NaN, which a partial convergence row carries as lhs

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from weinstein.grids import (Field, build_base_grid, build_scale_grid, inner_product,
-                             lp_norm, scale_inner_product, scale_lp_norm, ScaleField)
+from weinstein.grids import (Field, _matmul, _matmul_real_right, build_base_grid,
+                             build_scale_grid, inner_product, lp_norm, reflect,
+                             scale_inner_product, scale_lp_norm, ScaleField)
 from weinstein.probes import gaussian, random_even_field
 from weinstein.transform import build_plan, forward, inverse
 from weinstein.translation import (ThetaRule, TranslationKernel, cart_fft, convolve,
@@ -611,3 +612,158 @@ def test_sampled_freq_data_peak_stays_near_the_output():
     finally:
         tracemalloc.stop()
     assert peak < 4 * out.nbytes, peak / out.nbytes
+
+
+# -- real routes: the full-spectrum formulas, as written before real data had
+# a route of their own, are the reference for both routes
+
+def cwt_full_spectrum(pair, f, which):
+    g = pair.plan.grid
+    nc, m = g.shape
+    Bc = _matmul_real_right(np.conj(cart_fft(g, g.node_weights * f.values)),
+                            pair.kernel.tensor.reshape(m, m * m))
+    spec = np.conj(np.matmul(Bc.reshape(nc, m, m), pair.lattice_spectrum(which)))
+    corr = cart_fft(g, spec, inverse=True)
+    return pair.scale_grid.scales[:, None, None] ** pair.gamma * corr.transpose(2, 0, 1)
+
+
+def invert_cwt_full_spectrum(pair, W):
+    g, sg = pair.plan.grid, pair.scale_grid
+    nc, m = g.shape
+    c = sg.scale_weights * sg.scales ** (pair.gamma - sg.measure_power)
+    cW = c[:, None, None] * g.node_weights * W.values
+    S = np.matmul(cart_fft(g, cW.transpose(1, 2, 0)),
+                  pair.lattice_spectrum("psi").transpose(0, 2, 1))
+    out = _matmul_real_right(S.reshape(nc, m * m), pair.kernel.tensor.reshape(m, m * m).T)
+    return cart_fft(g, out, inverse=True) / pair.C_phi_psi
+
+
+def convolve_full_spectrum(kern, f, h):
+    # the outer products in (n^d, m^2) C order, contracted against K^T
+    g = f.grid
+    nc, m = g.shape
+    H = cart_fft(g, g.node_weights * h.values)
+    F = cart_fft(g, f.values)
+    HF = (H[:, :, None] * F[:, None, :]).reshape(nc, m * m)
+    spec = _matmul_real_right(HF, kern.tensor.reshape(m, m * m).T)
+    return lattice_shift(g, cart_fft(g, spec, inverse=True), 0)
+
+
+def convolve_transposed_layout(kern, f, h):
+    # the outer products in (m^2, n^d) order, contracted by K from the left
+    g = f.grid
+    nc, m = g.shape
+    H = cart_fft(g, g.node_weights * h.values)
+    F = cart_fft(g, f.values)
+    HF = (H.T[:, None, :] * F.T[None, :, :]).reshape(m * m, nc)
+    spec = _matmul(kern.tensor.reshape(m, m * m), HF).T
+    return lattice_shift(g, cart_fft(g, spec, inverse=True), 0)
+
+
+def _modulated_window_pair(pair, which):
+    # the pair with one window multiplied by e^{0.7 i x_1} and no profile
+    g = pair.plan.grid
+    x1 = g.nodes()[:, 0].reshape(g.shape)
+    w = getattr(pair, which)
+    mod = Window(field=Field(g, w.field.values * np.exp(0.7j * x1)), name="mod")
+    phi, psi = (mod, pair.psi) if which == "phi" else (pair.phi, mod)
+    return build_pair(pair.plan, pair.scale_grid, pair.kernel, phi, psi)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_real_routes_agree_with_full_spectrum_and_are_exactly_real(alpha, d, n, monkeypatch):
+    from weinstein import translation
+    pair = tiny_pair(alpha, d, n, 6, 6)
+    g, sg = pair.plan.grid, pair.scale_grid
+    rng = np.random.default_rng(n + 10 * d)
+    f, h = (Field(g, rng.normal(size=g.shape)) for _ in "fh")
+    assert pair.structures("phi") == pair.structures("psi") == ("real", "reflection-even")
+    irfftn, calls = translation.sp_fft.irfftn, []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return irfftn(*args, **kw)
+
+    monkeypatch.setattr(translation.sp_fft, "irfftn", counted)
+
+    def check(got, ref):
+        # one inverse real FFT per route, and an imaginary part of exactly 0
+        assert len(calls) == 1
+        calls.clear()
+        assert not np.any(got.imag)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    check(convolve(pair.kernel, f, h).values, convolve_full_spectrum(pair.kernel, f, h))
+    for which in ("phi", "psi"):
+        check(cwt(pair, f, which).values, cwt_full_spectrum(pair, f, which))
+    W = ScaleField(sg, rng.normal(size=sg.shape))
+    check(invert_cwt(pair, W).values, invert_cwt_full_spectrum(pair, W))
+    # the cwt of real data is exactly real, so its inversion stays real too
+    Wf = cwt(pair, f, "phi")
+    calls.clear()
+    check(invert_cwt(pair, Wf).values, invert_cwt_full_spectrum(pair, Wf))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_complex_data_keep_the_full_spectrum_route_bit_for_bit(alpha, d, n):
+    pair = tiny_pair(alpha, d, n, 6, 6)
+    g, sg = pair.plan.grid, pair.scale_grid
+    rng = np.random.default_rng(n + 10 * d)
+    f = Field(g, rng.normal(size=g.shape))
+    fc = Field(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    W = ScaleField(sg, rng.normal(size=sg.shape))
+    Wc = ScaleField(sg, rng.normal(size=sg.shape) + 1j * rng.normal(size=sg.shape))
+    mod_phi, mod_psi = _modulated_window_pair(pair, "phi"), _modulated_window_pair(pair, "psi")
+    assert mod_phi.structures("phi") == () and mod_psi.structures("psi") == ()
+    for which in ("phi", "psi"):
+        assert np.array_equal(cwt(pair, fc, which).values, cwt_full_spectrum(pair, fc, which))
+    assert np.array_equal(cwt(mod_phi, f, "phi").values, cwt_full_spectrum(mod_phi, f, "phi"))
+    assert np.array_equal(invert_cwt(pair, Wc).values, invert_cwt_full_spectrum(pair, Wc))
+    assert np.array_equal(invert_cwt(mod_psi, W).values, invert_cwt_full_spectrum(mod_psi, W))
+    # a complex field keeps the full spectrum of convolve; against the
+    # transposed layout of its contraction only the summation order differs
+    got = convolve(pair.kernel, fc, f).values
+    assert np.array_equal(got, convolve_full_spectrum(pair.kernel, fc, f))
+    ref = convolve_transposed_layout(pair.kernel, fc, f)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_window_structures_are_decided_once():
+    from weinstein import localization as loc
+    pair = tiny_pair(0.5, 1, 8, 6, 6)
+    sym = loc.symbol_bump(pair.scale_grid)
+    names = loc._structures(pair, sym)
+    cached = {w: pair.structures(w) for w in ("phi", "psi")}
+    pair.freq_data = None       # a second reflection of the windows would fail
+    assert loc._structures(pair, sym) == names
+    assert all(pair.structures(w) is cached[w] for w in ("phi", "psi"))
+
+
+def test_conj_window_transform_is_the_per_call_formula_cached_read_only():
+    pair = _modulated_window_pair(tiny_pair(0.5, 2, 7, 6, 6), "phi")
+    g, plan = pair.plan.grid, pair.plan
+    f = Field(g, np.random.default_rng(3).normal(size=g.shape))
+    for which in ("phi", "psi"):
+        fd = pair.freq_data(which)
+        space = [inverse(plan, Field(g, fd_j)).values for fd_j in fd]
+        sdata = pair.space_data(which)
+        assert not sdata.flags.writeable and sdata is not pair.space_data(which)
+        assert np.array_equal(sdata, np.stack(space))
+        hat = np.stack([forward(plan, Field(g, np.conj(v))).values for v in space])
+        assert np.array_equal(pair.conj_window_transform(which), hat)
+        got = cwt_convolution_form(pair, f, which)
+        cached = pair.conj_window_transform(which)
+        assert cached is pair._data[which + "_conj_transform"] and not cached.flags.writeable
+        fr_hat = forward(plan, reflect(f)).values
+        ref = np.stack([a**pair.gamma * inverse(plan, Field(g, fr_hat * hat[j])).values
+                        for j, a in enumerate(pair.scale_grid.scales)])
+        assert np.array_equal(got.values, ref)
+    assert not any(k.endswith("_space") for k in pair._data)
+    for name in ("Phi", "phi_space"):
+        for call in (pair.structures, pair.conj_window_transform):
+            with pytest.raises(ValueError, match="'phi' or 'psi'"):
+                call(name)
